@@ -24,8 +24,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast test-slow bench-smoke train-bench-smoke \
-	fused-bench-smoke quantum-bench-smoke bench faults-smoke soak-smoke \
-	fleet-smoke fleet-chaos-smoke serve-chaos-smoke
+	fused-bench-smoke quantum-bench-smoke bench faults-smoke chaos-smoke \
+	fleet-smoke
 
 test-fast:
 	$(PYTHON) -m pytest -q -m "not slow"
@@ -43,17 +43,6 @@ faults-smoke:
 		--kernels 1 --duration-us 60 --stats --fused
 	$(PYTHON) -m pytest -q tests/test_faults.py tests/test_parallel.py
 
-# Chaos-soak smoke: self-trains a small pair through the dataset cache,
-# registers it as last-known-good, then soaks it under 1% sensor faults
-# with a mid-run stale-model injection and crash-write torture.  The
-# CLI exits non-zero on any invariant violation (NaN decision, latency
-# over preset+slack, unhealed drift, torn read), which fails the job.
-# Deliberately outside the tier-1 `test-fast` gate.
-soak-smoke:
-	$(PYTHON) -m repro.cli soak --small --breakpoints 4 --kernels 2 \
-		--cache .cache --store .cache/store --stats \
-		--export benchmarks/results/SOAK_smoke.json
-
 # Fleet smoke: replay a bursty two-class trace over 16 simulated GPUs
 # under per-node governors and gate on the SLO-violation rate — the CLI
 # exits non-zero when more than 5% of jobs miss their deadline, so a
@@ -66,33 +55,39 @@ fleet-smoke:
 		--slo-gate 0.05 --export benchmarks/results/FLEET_smoke.json
 	$(PYTHON) -m pytest -q tests/test_fleet.py
 
-# Fleet-chaos smoke: randomized node-fault trains (crash, hang, thermal
-# runaway, sensor storms) against the fleet replay, with admission
-# control on.  The CLI exits non-zero if any fleet invariant breaks —
-# a job lost or double-counted, a seed whose export is not byte-stable
-# across worker counts, a node wedged in quarantine, or a latency-class
-# job admission-shed.  Crash-write torture hits the exported payload
-# through the artifact store.  Outside the tier-1 `test-fast` gate.
-fleet-chaos-smoke:
+# Chaos smoke: the three chaos campaigns (repro.evaluation.chaos and
+# repro.evaluation.soak), each with crash-write torture through the
+# artifact store.  Every CLI exits non-zero on any invariant violation,
+# which fails the job:
+# * soak — self-trains a small pair through the dataset cache,
+#   registers it as last-known-good, then soaks it under 1% sensor
+#   faults with a mid-run stale-model injection (NaN decision, latency
+#   over preset+slack, unhealed drift, torn read);
+# * fleet-chaos — randomized node-fault trains (crash, hang, thermal
+#   runaway, sensor storms) against the fleet replay with admission
+#   control on (a job lost or double-counted, a seed whose export is
+#   not byte-stable across worker counts, a node wedged in quarantine,
+#   a latency-class job admission-shed);
+# * serve-chaos — seeded fault trains (worker crashes/hangs, inference
+#   stalls, telemetry storms/gaps, poisoned updates, overload bursts)
+#   against the always-on serving runtime (an invalid decision served,
+#   a request lost or double-counted, a worker outage past the recovery
+#   budget, a non-byte-stable replay, a deadline-class request shed
+#   under capacity).
+# The exported payloads are atomic and byte-stable per seed; CI uploads
+# all three as artifacts.  Outside the tier-1 `test-fast` gate.
+chaos-smoke:
+	$(PYTHON) -m repro.cli soak --small --breakpoints 4 --kernels 2 \
+		--cache .cache --store .cache/store --stats \
+		--export benchmarks/results/SOAK_smoke.json
 	$(PYTHON) -m repro.cli fleet-chaos --small --nodes 4 --jobs 16 \
 		--trials 2 --seed 7 --store .cache/chaos-store --stats \
 		--export benchmarks/results/FLEET_chaos_smoke.json
-	$(PYTHON) -m pytest -q tests/test_fleet_resilience.py
-
-# Serve-chaos smoke: seeded fault trains (worker crashes/hangs,
-# inference stalls, telemetry storms/gaps, poisoned updates, overload
-# bursts) against the always-on serving runtime.  The CLI exits
-# non-zero if any serving invariant breaks — an invalid decision
-# served, a request lost or double-counted, a worker outage past the
-# recovery budget, a non-byte-stable replay, or a deadline-class
-# request shed under capacity.  The exported payload is atomic and
-# byte-stable per seed; CI uploads it as an artifact.  Outside the
-# tier-1 `test-fast` gate.
-serve-chaos-smoke:
 	$(PYTHON) -m repro.cli serve-chaos --small --streams 2 --ticks 160 \
 		--trials 2 --seed 7 --store .cache/serve-chaos-store --stats \
 		--export benchmarks/results/SERVE_chaos_smoke.json
-	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_chaos.py
+	$(PYTHON) -m pytest -q tests/test_chaos.py tests/test_fleet_resilience.py \
+		tests/test_serve.py tests/test_serve_chaos.py
 
 test:
 	$(PYTHON) -m pytest -q

@@ -128,8 +128,7 @@ def test_fleet_resilience_gate(pipeline, arch, tmp_path, benchmark):
     and drift counters from the per-node controllers must surface in
     the exported campaign aggregate.
     """
-    from repro.evaluation.fleet_chaos import (FleetChaosConfig,
-                                              run_fleet_chaos)
+    from repro.evaluation.chaos import FleetChaosConfig, run_fleet_chaos
     from repro.faults import NodeFaultConfig
     from repro.fleet import policy_factory as fleet_policy
     from _reporting import RESULTS_DIR, write_result
@@ -188,9 +187,8 @@ def test_serve_resilience_gate(pipeline, arch, tmp_path, benchmark):
     fallback decision paths plus the circuit-breaker and online-
     calibration channels surface in the exported counter aggregate.
     """
-    from repro.evaluation.serve_chaos import (CHAOS_FAULTS,
-                                              ServeChaosConfig,
-                                              run_serve_chaos)
+    from repro.evaluation.chaos import (CHAOS_FAULTS, ServeChaosConfig,
+                                        run_serve_chaos)
     from repro.serve import ServeConfig
     from _reporting import RESULTS_DIR, write_result
 

@@ -73,6 +73,16 @@ def _print_stats(args, stats: CampaignStats) -> None:
         print(stats.render())
 
 
+def _report(args, result, stats: CampaignStats, ok: bool) -> int:
+    """Print the report, export it if asked, print stats; exit code."""
+    print(result.render())
+    if args.export:
+        path = result.export_json(args.export)
+        print(f"exported -> {path}")
+    _print_stats(args, stats)
+    return 0 if ok else 1
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -261,7 +271,7 @@ def _soak_selftrain(args, stats: CampaignStats):
     """Train a base pair for the soak when no ``--model`` was given.
 
     Uses duration-scaled training kernels and the shared dataset cache
-    so ``soak-smoke`` stays self-contained *and* cheap on re-runs.
+    so ``chaos-smoke`` stays self-contained *and* cheap on re-runs.
     """
     arch = _arch(args)
     kernels = [scale_kernel_to_duration(k, arch, args.duration_us * 1e-6)
@@ -307,26 +317,28 @@ def cmd_soak(args) -> int:
         crash_write_trials=args.crash_trials,
     )
     result = run_soak(model, kernels, arch, args.store, config)
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
-    return 0 if result.passed else 1
+    return _report(args, result, stats, result.passed)
 
 
-def cmd_fleet(args) -> int:
-    """Replay an arrival trace over N simulated GPUs; report fleet SLOs."""
-    from .fleet import (ClusterScheduler, ThermalConfig, TraceConfig,
-                        build_trace, policy_factory)
-    from .parallel import CampaignCheckpoint
-    arch = _arch(args)
-    stats = CampaignStats()
+def _fleet_policy(args):
+    """The per-node policy factory and its report name from CLI args."""
+    from .fleet import policy_factory
     model = SSMDVFSModel.load(args.model) if args.model else None
     factory = policy_factory(args.policy, preset=args.preset[0],
                              model=model, level=args.level)
     policy_name = (f"static-l{args.level}" if args.policy == "static"
                    else args.policy)
+    return factory, policy_name
+
+
+def cmd_fleet(args) -> int:
+    """Replay an arrival trace over N simulated GPUs; report fleet SLOs."""
+    from .fleet import (ClusterScheduler, ThermalConfig, TraceConfig,
+                        build_trace)
+    from .parallel import CampaignCheckpoint
+    arch = _arch(args)
+    stats = CampaignStats()
+    factory, policy_name = _fleet_policy(args)
     trace_config = TraceConfig(
         trace=args.trace, jobs=args.jobs, nodes=args.nodes, load=args.load,
         latency_fraction=args.latency_fraction,
@@ -349,11 +361,7 @@ def cmd_fleet(args) -> int:
         timeout_s=args.task_timeout, fused=args.fused,
         fuse_width=args.fuse_width)
     result = scheduler.run(jobs, trace_name=args.trace)
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
+    _report(args, result, stats, True)
     if args.slo_gate is not None:
         rate = result.slo_violation_rate()
         if rate > args.slo_gate:
@@ -372,16 +380,12 @@ def cmd_fleet_chaos(args) -> int:
     double-counted, a non-byte-stable export, a node wedged in
     quarantine, a latency job shed by admission control, or a torn
     read out of the crash-write torture."""
-    from .evaluation.fleet_chaos import FleetChaosConfig, run_fleet_chaos
+    from .evaluation.chaos import FleetChaosConfig, run_fleet_chaos
     from .faults import NodeFaultConfig
-    from .fleet import AdmissionConfig, policy_factory
+    from .fleet import AdmissionConfig
     arch = _arch(args)
     stats = CampaignStats()
-    model = SSMDVFSModel.load(args.model) if args.model else None
-    factory = policy_factory(args.policy, preset=args.preset[0],
-                             model=model, level=args.level)
-    policy_name = (f"static-l{args.level}" if args.policy == "static"
-                   else args.policy)
+    factory, policy_name = _fleet_policy(args)
     config = FleetChaosConfig(
         trace=args.trace, jobs=args.jobs, nodes=args.nodes,
         load=args.load, trials=args.trials, seed=args.seed,
@@ -396,12 +400,7 @@ def cmd_fleet_chaos(args) -> int:
                              policy_name=policy_name,
                              workers=args.workers, store_root=args.store,
                              stats=stats)
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
-    return 0 if result.passed else 1
+    return _report(args, result, stats, result.passed)
 
 
 def _serve_config(args):
@@ -431,12 +430,7 @@ def cmd_serve(args) -> int:
                              store_root=args.store, workers=args.workers,
                              stats=stats)
     result = runtime.run()
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
-    return 0 if result.conserved else 1
+    return _report(args, result, stats, result.conserved)
 
 
 def cmd_serve_chaos(args) -> int:
@@ -447,7 +441,7 @@ def cmd_serve_chaos(args) -> int:
     past the recovery budget, a non-byte-stable replay, a
     deadline-class request shed under capacity, or a torn read out of
     the crash-write torture."""
-    from .evaluation.serve_chaos import ServeChaosConfig, run_serve_chaos
+    from .evaluation.chaos import ServeChaosConfig, run_serve_chaos
     arch = _arch(args)
     stats = CampaignStats()
     model = SSMDVFSModel.load(args.model) if args.model else None
@@ -458,12 +452,7 @@ def cmd_serve_chaos(args) -> int:
     result = run_serve_chaos(arch, config, model=model,
                              store_root=args.store, workers=args.workers,
                              stats=stats)
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
-    return 0 if result.passed else 1
+    return _report(args, result, stats, result.passed)
 
 
 def cmd_store(args) -> int:
@@ -650,6 +639,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the soak result payload as JSON")
     p.set_defaults(func=cmd_soak)
 
+    def fleet_policy_knobs(p):
+        """Per-node policy knobs shared by ``fleet`` and ``fleet-chaos``."""
+        p.add_argument("--policy", default="governor", choices=FLEET_POLICIES,
+                       help="per-node DVFS policy")
+        p.add_argument("--model", default=None,
+                       help="saved SSMDVFS model (required for ssmdvfs* "
+                            "policies)")
+        p.add_argument("--level", type=int, default=None,
+                       help="VF level for --policy static")
+        p.add_argument("--preset", type=float, nargs="+", default=[0.10])
+
     p = sub.add_parser("fleet",
                        help="replay a job-arrival trace over N simulated "
                             "GPUs under per-node DVFS controllers")
@@ -665,14 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", type=float, default=0.7,
                    help="offered load as a fraction of fleet capacity "
                         "(>1 oversubscribes)")
-    p.add_argument("--policy", default="governor", choices=FLEET_POLICIES,
-                   help="per-node DVFS policy")
-    p.add_argument("--model", default=None,
-                   help="saved SSMDVFS model (required for ssmdvfs* "
-                        "policies)")
-    p.add_argument("--level", type=int, default=None,
-                   help="VF level for --policy static")
-    p.add_argument("--preset", type=float, nargs="+", default=[0.10])
+    fleet_policy_knobs(p)
     p.add_argument("--latency-fraction", type=float, default=0.6,
                    help="fraction of jobs in the latency-sensitive class")
     p.add_argument("--latency-us", type=float, default=100.0,
@@ -701,14 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offered load as a fraction of fleet capacity")
     p.add_argument("--trials", type=int, default=3,
                    help="randomized fault trains to replay")
-    p.add_argument("--policy", default="governor", choices=FLEET_POLICIES,
-                   help="per-node DVFS policy")
-    p.add_argument("--model", default=None,
-                   help="saved SSMDVFS model (required for ssmdvfs* "
-                        "policies)")
-    p.add_argument("--level", type=int, default=None,
-                   help="VF level for --policy static")
-    p.add_argument("--preset", type=float, nargs="+", default=[0.10])
+    fleet_policy_knobs(p)
     p.add_argument("--crash-rate", type=float, default=0.5,
                    help="expected node crashes per node per trial")
     p.add_argument("--hang-rate", type=float, default=0.3,

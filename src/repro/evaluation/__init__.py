@@ -8,8 +8,8 @@ from .experiments import (Fig3Result, Fig4Result, HardwareResult,
                           run_fig4, run_hardware, run_table1, run_table2)
 from .export import (export_comparison_csv, export_fig3_csv,
                      export_fig4_json, load_fig4_json)
-from .fleet_chaos import (ChaosTrial, FleetChaosConfig, FleetChaosResult,
-                          run_fleet_chaos)
+from .chaos import (ChaosTrial, FleetChaosConfig, FleetChaosResult,
+                    crash_write_torture, run_fleet_chaos)
 from .registry import (ExperimentEntry, all_experiments, get_experiment,
                        paper_experiments, render_registry)
 from .reporting import format_percent, format_series, format_table
@@ -19,8 +19,8 @@ from .robustness import (FaultSweepCell, FaultSweepResult,
                          seed_sweep)
 from .runner import (ComparisonResult, PolicyRun, compare_policies,
                      run_policy_on_kernel)
-from .soak import (KernelSoak, SoakConfig, SoakResult, crash_write_torture,
-                   perturb_model_weights, run_soak)
+from .soak import (KernelSoak, SoakConfig, SoakResult, perturb_model_weights,
+                   run_soak)
 
 __all__ = [
     "cached_comparison", "comparison_cache_key",

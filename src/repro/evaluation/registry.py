@@ -139,7 +139,7 @@ _REGISTRY: tuple[ExperimentEntry, ...] = (
         title="Fleet resilience under node-fault trains (extension)",
         paper_claim="(no job lost, byte-stable replay, bounded recovery "
                     "under crash/hang/thermal/storm chaos)",
-        modules=("repro.evaluation.fleet_chaos", "repro.faults",
+        modules=("repro.evaluation.chaos", "repro.faults",
                  "repro.fleet.tracker"),
         bench="benchmarks/bench_robustness.py",
         driver="repro.cli.cmd_fleet_chaos",
@@ -151,7 +151,7 @@ _REGISTRY: tuple[ExperimentEntry, ...] = (
         paper_claim="(no invalid decision served, request conservation, "
                     "bounded recovery, byte-stable replay, shed "
                     "discipline under serving chaos)",
-        modules=("repro.serve", "repro.evaluation.serve_chaos",
+        modules=("repro.serve", "repro.evaluation.chaos",
                  "repro.faults"),
         bench="benchmarks/bench_robustness.py",
         driver="repro.cli.cmd_serve_chaos",

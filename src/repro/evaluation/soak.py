@@ -19,17 +19,20 @@ keep its promises?  Three invariants are checked continuously:
    registry's last-known-good pair, or pin the static fallback) within
    ``recovery_epochs``.
 
-A crash-write torture phase additionally kills :meth:`ArtifactStore.put`
-at sampled byte offsets and asserts every subsequent read returns the
-old payload or the new one, never garbage.  Results are seeded and
-JSON-exportable; ``repro-ssmdvfs soak`` and the CI ``soak-smoke``
-target gate on :attr:`SoakResult.passed`.
+The shared crash-write torture phase
+(:func:`~repro.evaluation.chaos.crash_write_torture`) additionally
+kills :meth:`ArtifactStore.put` at sampled byte offsets and asserts
+every subsequent read returns the old payload or the new one, never
+garbage.  Results are seeded and JSON-exportable on the shared
+:class:`~repro.evaluation.chaos.ChaosResult` base;
+``repro-ssmdvfs soak`` and the CI ``chaos-smoke`` target gate on
+:attr:`SoakResult.passed`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +49,9 @@ from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
 from ..power.energy import EnergyAccount
 from ..power.model import PowerModel
-from ..store import ArtifactStore, SimulatedCrash, atomic_write_text
+from ..store import ArtifactStore
 from ..units import us
+from .chaos import ChaosResult
 
 #: Registry key under which the soak stores its model pair.
 SOAK_ARTIFACT = "soak-pair"
@@ -110,75 +114,31 @@ class KernelSoak:
     normalized_edp: float
     invalid_decisions: int
 
-    def to_payload(self) -> dict:
-        """JSON-ready dict."""
-        return asdict(self)
+
+def _dash(value) -> str:
+    return "-" if value is None else str(value)
 
 
 @dataclass
-class SoakResult:
+class SoakResult(ChaosResult):
     """Aggregate soak outcome: per-kernel records + invariant verdicts."""
 
     preset: float
     latency_tolerance: float
     seed: int
-    records: list[KernelSoak] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    crash_trials: int = 0
-    crash_torn_reads: int = 0
-    violations: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        """True when every soak invariant held."""
-        return not self.violations
-
-    def to_payload(self) -> dict:
-        """JSON-ready dict (no wall-clock: seeded runs export bit-equal)."""
-        return {
-            "preset": self.preset,
-            "latency_tolerance": self.latency_tolerance,
-            "seed": self.seed,
-            "passed": self.passed,
-            "records": [record.to_payload() for record in self.records],
-            "counters": dict(sorted(self.counters.items())),
-            "crash_trials": self.crash_trials,
-            "crash_torn_reads": self.crash_torn_reads,
-            "violations": list(self.violations),
-        }
-
-    def export_json(self, path: str | Path) -> Path:
-        """Atomically write the payload as JSON; returns the path."""
-        path = Path(path)
-        atomic_write_text(path, json.dumps(self.to_payload(), indent=2,
-                                           sort_keys=True))
-        return path
-
-    def render(self) -> str:
-        """Human-readable soak report."""
-        lines = [f"chaos soak  preset={self.preset:.2f}  "
-                 f"latency tolerance={self.latency_tolerance:.2f}  "
-                 f"seed={self.seed}",
-                 f"{'kernel':24s} {'epochs':>6s} {'stale@':>6s} "
-                 f"{'alarm@':>6s} {'heal@':>6s} {'heal by':>16s} "
-                 f"{'latency':>8s} {'edp':>6s}"]
-        for record in self.records:
-            alarm = "-" if record.alarm_epoch is None else str(record.alarm_epoch)
-            heal = "-" if record.healed_epoch is None else str(record.healed_epoch)
-            lines.append(
-                f"{record.kernel_name:24s} {record.epochs:6d} "
-                f"{record.stale_epoch:6d} {alarm:>6s} {heal:>6s} "
-                f"{record.healed_by or '-':>16s} "
-                f"{record.normalized_latency:8.3f} "
-                f"{record.normalized_edp:6.3f}")
-        lines.append(f"crash-write torture: {self.crash_trials} kills, "
-                     f"{self.crash_torn_reads} torn reads")
-        if self.violations:
-            lines.append("INVARIANT VIOLATIONS:")
-            lines.extend(f"  - {violation}" for violation in self.violations)
-        else:
-            lines.append("all soak invariants held")
-        return "\n".join(lines)
+    headline = ("chaos soak  preset={preset:.2f}  "
+                "latency tolerance={latency_tolerance:.2f}  seed={seed}")
+    records_key = "records"
+    columns = (("kernel", "<24", attrgetter("kernel_name")),
+               ("epochs", ">6", attrgetter("epochs")),
+               ("stale@", ">6", attrgetter("stale_epoch")),
+               ("alarm@", ">6", lambda r: _dash(r.alarm_epoch)),
+               ("heal@", ">6", lambda r: _dash(r.healed_epoch)),
+               ("heal by", ">16", lambda r: r.healed_by or "-"),
+               ("latency", ">8", lambda r: f"{r.normalized_latency:.3f}"),
+               ("edp", ">6", lambda r: f"{r.normalized_edp:.3f}"))
+    verdict = ("INVARIANT VIOLATIONS:", "all soak invariants held")
 
 
 # ---------------------------------------------------------------------------
@@ -201,45 +161,6 @@ def perturb_model_weights(model: SSMDVFSModel, sigma: float,
             scale = sigma * (spread if spread > 0 else 1.0)
             layer.weights += rng.normal(0.0, scale, size=layer.weights.shape)
             layer.bias += rng.normal(0.0, scale, size=layer.bias.shape)
-
-
-def crash_write_torture(store: ArtifactStore, name: str, payload: bytes,
-                        trials: int, seed: int = 0) -> tuple[int, int]:
-    """Kill ``put`` at sampled offsets; returns (kills, torn_reads).
-
-    After every simulated kill the artifact must read back as the
-    last committed payload — never a prefix of the aborted write — and
-    a follow-up clean ``put`` must succeed (leftover temp files cannot
-    wedge the store).  The byte-exhaustive variant lives in the test
-    suite; the soak samples ``trials`` offsets across the encoded
-    length so long payloads stay cheap.
-    """
-    if trials <= 0:
-        return 0, 0
-    baseline = store.put(name, payload, schema="soak-torture/v1",
-                         mark_good=False)
-    expected = store.get(name, baseline, fallback=False)
-    rng = np.random.default_rng(seed)
-    # Cover both boundaries (0 bytes written; written-but-not-renamed)
-    # plus random interior offsets.
-    offsets = {0, len(payload) + 1}
-    while len(offsets) < trials:
-        offsets.add(int(rng.integers(0, len(payload) + 2)))
-    torn = 0
-    for offset in sorted(offsets):
-        try:
-            store.put(name, payload, schema="soak-torture/v1",
-                      crash_after=offset)
-        except SimulatedCrash:
-            pass
-        observed = store.get(name, fallback=True)
-        if observed != expected:
-            torn += 1
-    # The store must still accept clean writes after every abort.
-    final = store.put(name, payload, schema="soak-torture/v1")
-    if store.get(name, final, fallback=False) != expected:
-        torn += 1
-    return len(offsets) + 1, torn
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +293,9 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
         latency_tolerance=1.0 + config.preset + config.latency_slack,
         seed=config.seed)
 
-    result.crash_trials, result.crash_torn_reads = crash_write_torture(
-        store, "soak-torture", model.to_bytes()[:4096] or b"soak",
-        config.crash_write_trials, seed=config.seed)
-    if result.crash_torn_reads:
-        result.violations.append(
-            f"crash-write torture observed {result.crash_torn_reads} "
-            f"torn reads in {result.crash_trials} kills")
+    result.torture(store, "soak-torture",
+                   model.to_bytes()[:4096] or b"soak",
+                   config.crash_write_trials, config.seed)
 
     for index, kernel in enumerate(kernels):
         # A fresh deserialised copy per kernel: the staleness injection
@@ -388,8 +305,7 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
             SSMDVFSModel.from_bytes(model.to_bytes()), kernel, arch,
             power_model, store, config, seed=config.seed + 101 * index)
         result.records.append(record)
-        for name, amount in run_counters.items():
-            result.counters[name] = result.counters.get(name, 0) + amount
+        result.merge_counters(run_counters)
         if record.invalid_decisions:
             result.violations.append(
                 f"{kernel.name}: {record.invalid_decisions} invalid "
@@ -413,6 +329,5 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
                 f"{record.healed_epoch - record.stale_epoch} epochs "
                 f"(budget {config.recovery_epochs})")
 
-    for name, amount in store.counters.items():
-        result.counters[name] = result.counters.get(name, 0) + amount
+    result.merge_counters(store.counters)
     return result

@@ -44,8 +44,9 @@ import hashlib
 import os
 import pickle
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,13 +70,69 @@ def derive_fault_seed(base_seed: int, *parts: object) -> int:
     """
     return derive_seed(base_seed, "fault-stream", *parts)
 
-#: The probability knobs of :class:`FaultConfig`, validated as one group.
-_RATE_FIELDS = ("counter_dropout", "counter_stuck", "counter_nan",
-                "counter_spike", "actuation_delay", "actuation_drop")
+
+class _RateConfig:
+    """Behaviour shared by the frozen fault-scenario configs.
+
+    Each config names its per-kind rate knobs in ``rate_fields`` (all
+    validated non-negative, raising ``error``) and picks its fault
+    stream through a ``seed`` field.
+    """
+
+    rate_fields: ClassVar[tuple[str, ...]]
+    error: ClassVar[type[Exception]]
+
+    def __post_init__(self) -> None:
+        for name in self.rate_fields:
+            rate = getattr(self, name)
+            if rate < 0:
+                raise self.error(f"{name} cannot be negative, got {rate!r}")
+
+    @property
+    def any_active(self) -> bool:
+        """True if at least one fault rate is non-zero."""
+        return any(getattr(self, name) > 0.0 for name in self.rate_fields)
+
+    def with_seed(self, seed: int):
+        """The same scenario under a different fault stream."""
+        return replace(self, seed=int(seed))
+
+
+class _EventPlan:
+    """A deterministic, ordered train of fault events.
+
+    Subclasses draw the train in a seeded ``build``: the same config
+    and topology always yield the identical train, which is what keeps
+    a faulted replay byte-stable at any worker count.  Events sort by
+    strike time with deterministic tie-breaks (the replay order).
+    """
+
+    def __init__(self, events=()) -> None:
+        self.events = tuple(sorted(events))
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __iter__(self):
+        return iter(self.events)
+
+    def __bool__(self) -> bool:
+        return bool(self.events)
+
+    def counts_by_kind(self) -> dict[str, int]:
+        """``{kind: event count}`` over the whole train."""
+        counts: dict[str, int] = {}
+        for event in self.events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        return counts
+
+    def to_payload(self) -> list[dict]:
+        """JSON-ready event list in replay order."""
+        return [event.to_payload() for event in self.events]
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(_RateConfig):
     """Declarative description of one fault-injection scenario.
 
     Counter faults are drawn per cluster per epoch: ``counter_dropout``
@@ -98,23 +155,19 @@ class FaultConfig:
     actuation_drop: float = 0.0
     seed: int = 0
 
+    rate_fields = ("counter_dropout", "counter_stuck", "counter_nan",
+                   "counter_spike", "actuation_delay", "actuation_drop")
+    error = FaultInjectionError
+
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
+        super().__post_init__()
+        for name in self.rate_fields:
             rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
+            if not rate <= 1.0:
                 raise FaultInjectionError(
                     f"{name} must be a probability in [0, 1], got {rate!r}")
         if self.spike_magnitude <= 0:
             raise FaultInjectionError("spike_magnitude must be positive")
-
-    @property
-    def any_active(self) -> bool:
-        """True if at least one fault rate is non-zero."""
-        return any(getattr(self, name) > 0.0 for name in _RATE_FIELDS)
-
-    def with_seed(self, seed: int) -> "FaultConfig":
-        """The same scenario under a different fault stream."""
-        return replace(self, seed=int(seed))
 
 
 #: Scenario presets used by the ``repro-ssmdvfs faults`` sweep: each
@@ -324,18 +377,11 @@ class NodeFaultEvent:
 
     def to_payload(self) -> dict:
         """JSON-ready dict."""
-        return {"at_s": self.at_s, "node_id": self.node_id,
-                "kind": self.kind, "duration_s": self.duration_s,
-                "magnitude": self.magnitude}
-
-
-#: The per-kind rate knobs of :class:`NodeFaultConfig`.
-_NODE_RATE_FIELDS = ("crash_rate", "hang_rate", "thermal_rate",
-                     "storm_rate")
+        return asdict(self)
 
 
 @dataclass(frozen=True)
-class NodeFaultConfig:
+class NodeFaultConfig(_RateConfig):
     """Declarative description of one fleet-level fault scenario.
 
     Each ``*_rate`` is the *expected number of events of that kind per
@@ -359,12 +405,11 @@ class NodeFaultConfig:
     storm_slowdown: float = 1.5
     seed: int = 0
 
+    rate_fields = ("crash_rate", "hang_rate", "thermal_rate", "storm_rate")
+    error = FleetFaultError
+
     def __post_init__(self) -> None:
-        for name in _NODE_RATE_FIELDS:
-            rate = getattr(self, name)
-            if rate < 0:
-                raise FleetFaultError(
-                    f"{name} cannot be negative, got {rate!r}")
+        super().__post_init__()
         if self.min_outage_s <= 0 or self.mean_outage_s < self.min_outage_s:
             raise FleetFaultError(
                 "outage durations need 0 < min_outage_s <= mean_outage_s")
@@ -375,28 +420,9 @@ class NodeFaultConfig:
                 "storm_slowdown must be >= 1 (a storm cannot speed "
                 "jobs up)")
 
-    @property
-    def any_active(self) -> bool:
-        """True if at least one fault rate is non-zero."""
-        return any(getattr(self, name) > 0.0
-                   for name in _NODE_RATE_FIELDS)
 
-    def with_seed(self, seed: int) -> "NodeFaultConfig":
-        """The same scenario under a different fault stream."""
-        return replace(self, seed=int(seed))
-
-
-class NodeFaultPlan:
-    """A deterministic, time-ordered train of node-level fault events.
-
-    Built once per fleet replay from a :class:`NodeFaultConfig`; the
-    same ``(config, num_nodes, horizon_s)`` triple always yields the
-    identical event train, which is what keeps a faulted fleet replay
-    byte-reproducible at any worker count.
-    """
-
-    def __init__(self, events: list[NodeFaultEvent] | tuple = ()) -> None:
-        self.events: tuple[NodeFaultEvent, ...] = tuple(sorted(events))
+class NodeFaultPlan(_EventPlan):
+    """A train of node-level faults, built once per fleet replay."""
 
     @classmethod
     def build(cls, config: NodeFaultConfig, num_nodes: int,
@@ -431,15 +457,6 @@ class NodeFaultPlan:
                     duration_s=duration, magnitude=magnitude))
         return cls(events)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
     def validate_for(self, num_nodes: int) -> None:
         """Raise if any event targets a node outside ``[0, num_nodes)``."""
         for event in self.events:
@@ -447,17 +464,6 @@ class NodeFaultPlan:
                 raise FleetFaultError(
                     f"fault event targets node {event.node_id} but the "
                     f"fleet has only {num_nodes} nodes")
-
-    def counts_by_kind(self) -> dict[str, int]:
-        """``{kind: event count}`` over the whole train."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
-    def to_payload(self) -> list[dict]:
-        """JSON-ready event list in replay order."""
-        return [event.to_payload() for event in self.events]
 
 
 # ---------------------------------------------------------------------------
@@ -526,19 +532,11 @@ class ServeFaultEvent:
 
     def to_payload(self) -> dict:
         """JSON-ready dict."""
-        return {"at_tick": self.at_tick, "target": self.target,
-                "kind": self.kind, "duration_ticks": self.duration_ticks,
-                "magnitude": self.magnitude}
-
-
-#: The per-kind rate knobs of :class:`ServeFaultConfig`.
-_SERVE_RATE_FIELDS = ("crash_rate", "hang_rate", "stall_rate",
-                      "storm_rate", "gap_rate", "poison_rate",
-                      "burst_rate")
+        return asdict(self)
 
 
 @dataclass(frozen=True)
-class ServeFaultConfig:
+class ServeFaultConfig(_RateConfig):
     """Declarative description of one serving-chaos scenario.
 
     ``crash_rate`` / ``hang_rate`` are expected events *per worker*
@@ -566,12 +564,12 @@ class ServeFaultConfig:
     storm_duplicates: float = 3.0
     seed: int = 0
 
+    rate_fields = ("crash_rate", "hang_rate", "stall_rate", "storm_rate",
+                   "gap_rate", "poison_rate", "burst_rate")
+    error = ServeFaultError
+
     def __post_init__(self) -> None:
-        for name in _SERVE_RATE_FIELDS:
-            rate = getattr(self, name)
-            if rate < 0:
-                raise ServeFaultError(
-                    f"{name} cannot be negative, got {rate!r}")
+        super().__post_init__()
         if (self.min_duration_ticks < 1
                 or self.mean_duration_ticks < self.min_duration_ticks):
             raise ServeFaultError(
@@ -584,28 +582,9 @@ class ServeFaultConfig:
         if self.storm_duplicates < 1.0:
             raise ServeFaultError("storm_duplicates must be >= 1")
 
-    @property
-    def any_active(self) -> bool:
-        """True if at least one fault rate is non-zero."""
-        return any(getattr(self, name) > 0.0
-                   for name in _SERVE_RATE_FIELDS)
 
-    def with_seed(self, seed: int) -> "ServeFaultConfig":
-        """The same scenario under a different fault stream."""
-        return replace(self, seed=int(seed))
-
-
-class ServeFaultPlan:
-    """A deterministic, tick-ordered train of serving-runtime faults.
-
-    Built once per serving run from a :class:`ServeFaultConfig`; the
-    same ``(config, num_workers, num_streams, horizon_ticks)`` tuple
-    always yields the identical train, which is what keeps a chaotic
-    serving replay byte-stable at any phase-1 worker count.
-    """
-
-    def __init__(self, events: list[ServeFaultEvent] | tuple = ()) -> None:
-        self.events: tuple[ServeFaultEvent, ...] = tuple(sorted(events))
+class ServeFaultPlan(_EventPlan):
+    """A train of serving-runtime faults, built once per serving run."""
 
     @classmethod
     def build(cls, config: ServeFaultConfig, num_workers: int,
@@ -651,15 +630,6 @@ class ServeFaultPlan:
                     duration_ticks=duration, magnitude=magnitude))
         return cls(events)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
     def validate_for(self, num_workers: int, num_streams: int) -> None:
         """Raise if any event targets outside the runtime's topology."""
         for event in self.events:
@@ -673,17 +643,6 @@ class ServeFaultPlan:
                 raise ServeFaultError(
                     f"fault targets stream {event.target} but the "
                     f"runtime has {num_streams} streams")
-
-    def counts_by_kind(self) -> dict[str, int]:
-        """``{kind: event count}`` over the whole train."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
-    def to_payload(self) -> list[dict]:
-        """JSON-ready event list in replay order."""
-        return [event.to_payload() for event in self.events]
 
 
 # ---------------------------------------------------------------------------

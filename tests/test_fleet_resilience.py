@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import FleetError, FleetFaultError
-from repro.evaluation.fleet_chaos import (ChaosTrial, FleetChaosConfig,
-                                          _check_trial, run_fleet_chaos)
+from repro.evaluation.chaos import (ChaosTrial, FleetChaosConfig,
+                                    _check_fleet_trial, run_fleet_chaos)
 from repro.faults import (NODE_FAULT_KINDS, NodeFaultConfig, NodeFaultEvent,
                           NodeFaultPlan)
 from repro.fleet import (LATENCY, QUARANTINED, THROUGHPUT, AdmissionConfig,
@@ -503,7 +503,7 @@ def test_chaos_check_trial_flags_violations():
                             arrival_s=0.0, deadline_s=1.0, expected_s=1e-4,
                             shed_s=0.0, reason="unmeetable")])
     violations = []
-    _check_trial(fleet, record, violations)
+    _check_fleet_trial(fleet, record, violations)
     text = "\n".join(violations)
     assert "conservation broken" in text
     assert "payload differs" in text

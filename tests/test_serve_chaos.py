@@ -6,8 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ServeError
-from repro.evaluation.serve_chaos import (CHAOS_FAULTS, ServeChaosConfig,
-                                          ServeChaosResult, run_serve_chaos)
+from repro.evaluation.chaos import (CHAOS_FAULTS, ServeChaosConfig,
+                                    ServeChaosResult, run_serve_chaos)
 from repro.serve import ServeConfig
 
 
