@@ -16,16 +16,19 @@
 # process-pool fan-out >= 3x, and writes
 # benchmarks/results/BENCH_fused_sim.json.
 # `quantum-bench-smoke` is the vectorised-quantum-kernel perf gate: it
-# asserts the batched epoch engine and the fused V/f-grid replay are
-# byte-identical to the scalar hot path and beat it >= 2.5x / >= 2x,
-# and writes benchmarks/results/BENCH_quantum_kernel.json.
+# asserts the batched epoch engine and the lockstep V/f-grid replay are
+# byte-identical to the scalar oracle in tests/reference/ and beat it
+# >= 2.5x / >= 2x, and writes benchmarks/results/BENCH_quantum_kernel.json.
+# `perfbench-selftest` runs the repo benchmark (BENCHMARK.json) at tiny
+# scale, untraced and traced, and fails when a tracer target no longer
+# resolves or a layer records no span.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast test-slow bench-smoke train-bench-smoke \
 	fused-bench-smoke quantum-bench-smoke bench faults-smoke chaos-smoke \
-	fleet-smoke
+	fleet-smoke perfbench-selftest
 
 test-fast:
 	$(PYTHON) -m pytest -q -m "not slow"
@@ -112,6 +115,9 @@ quantum-bench-smoke:
 	$(PYTHON) -m pytest -q \
 		benchmarks/bench_sim_throughput.py::test_quantum_kernel_speedup \
 		--benchmark-disable
+
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -13,9 +13,14 @@ The first run generates the dataset (~2-4 minutes); later runs load it
 from the cache.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
+
+# The scalar reference oracles (``tests/reference``) import as
+# ``tests.reference`` from the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.gpu.arch import titan_x_config
 from repro.datagen.cache import cached_dataset

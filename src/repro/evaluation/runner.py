@@ -14,7 +14,6 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..gpu.arch import GPUArchConfig
-from ..gpu.cluster import quantum_row_for
 from ..gpu.fused import (FusedCampaignEngine, SharedContextCache,
                          dump_shared, fuse_groups, release_shared)
 from ..gpu.interval_model import SolutionCache
@@ -160,19 +159,15 @@ def _fused_eval_group(task: tuple) -> tuple[list, dict[str, int]]:
     factories, kernels, arch, power model — with model weights living
     in shared memory) is shipped once per campaign and each entry is a
     small ``(factory_index, kernel_index, seed, epoch_s)`` tuple.  The
-    group's simulators share one :class:`SolutionCache`, optionally
-    pre-warmed from the context, and advance in lockstep through the
-    fused engine.  Returns the serial-shaped per-task outcomes plus the
+    group's simulators share one :class:`SolutionCache` and advance in
+    lockstep through the fused engine.  Returns the serial-shaped per-task outcomes plus the
     engine's ``fused_*`` counters.
     """
     ref, entries = task
     context = _EVAL_CONTEXTS.get(ref)
     factories = context["factories"]
     kernels = context["kernels"]
-    shared_cache = SolutionCache(payload_builder=quantum_row_for)
-    warm_entries = context.get("cache_entries")
-    if warm_entries:
-        shared_cache.import_entries(warm_entries)
+    shared_cache = SolutionCache()
     engine = FusedCampaignEngine()
     # One noise cache per group: every task replaying the same
     # (kernel, seed) — the baseline plus each policy — shares the
@@ -212,8 +207,7 @@ def compare_policies(policy_factories: dict[str, callable],
                      retries: int = 2,
                      timeout_s: float | None = None,
                      fused: bool = False,
-                     fuse_width: int = 8,
-                     cache_entries: dict | None = None) -> ComparisonResult:
+                     fuse_width: int = 8) -> ComparisonResult:
     """Evaluate a set of policies over a kernel list.
 
     ``policy_factories`` maps display names to zero-argument callables
@@ -234,9 +228,7 @@ def compare_policies(policy_factories: dict[str, callable],
     final-epoch truncation are preserved exactly) while sharing one
     interval-solution cache per group, batching the counter build
     across tasks and shipping model weights to worker processes once
-    via shared memory.  ``cache_entries`` optionally pre-warms each
-    group's solution cache from a prior run's
-    :meth:`SolutionCache.export_entries`.
+    via shared memory.
     """
     power_model = power_model or PowerModel()
     names = list(policy_factories)
@@ -250,8 +242,6 @@ def compare_policies(policy_factories: dict[str, callable],
                 entries.append((factory_index, kernel_index, seed, epoch_s))
         context = {"factories": factories, "kernels": list(kernels),
                    "arch": arch, "power_model": power_model}
-        if cache_entries:
-            context["cache_entries"] = cache_entries
         ref, block = dump_shared(context)
         groups = fuse_groups(entries, fuse_width)
         try:

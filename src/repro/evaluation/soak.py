@@ -49,7 +49,7 @@ from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
 from ..power.energy import EnergyAccount
 from ..power.model import PowerModel
-from ..store import ArtifactStore
+from ..store import ArtifactStore, sha256_hex
 from ..units import us
 from .chaos import ChaosResult
 
@@ -269,6 +269,15 @@ def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
     ), policy.observability_counters()
 
 
+def _blessed_digest(store: ArtifactStore) -> str | None:
+    """Digest of the soak pair's ``last_known_good`` version, if any."""
+    good = store.last_known_good(SOAK_ARTIFACT)
+    for entry in store.versions(SOAK_ARTIFACT):
+        if entry.version == good:
+            return entry.sha256
+    return None
+
+
 def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
              arch: GPUArchConfig, store_root: str | Path,
              config: SoakConfig | None = None,
@@ -280,21 +289,25 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
     the drift layer has something real to roll back to — the soak run
     itself drives a *copy*, keeping the registry pristine.  Kernels
     run serially with per-kernel derived seeds: the whole result is a
-    pure function of ``(model, kernels, arch, config)``.
+    pure function of ``(model, kernels, arch, config)``, also on a
+    store a previous soak of the same pair already populated — the
+    registration write still lands, but the blessed pointer stays on
+    the earlier version holding these exact bytes, so the rollbacks
+    restore the same version number.
     """
     config = config or SoakConfig()
     power_model = power_model or PowerModel()
     store = ArtifactStore(store_root)
-    store.put(SOAK_ARTIFACT, model.to_bytes(), schema=PAIR_SCHEMA,
-              mark_good=True)
+    blob = model.to_bytes()
+    store.put(SOAK_ARTIFACT, blob, schema=PAIR_SCHEMA,
+              mark_good=_blessed_digest(store) != sha256_hex(blob))
 
     result = SoakResult(
         preset=config.preset,
         latency_tolerance=1.0 + config.preset + config.latency_slack,
         seed=config.seed)
 
-    result.torture(store, "soak-torture",
-                   model.to_bytes()[:4096] or b"soak",
+    result.torture(store, "soak-torture", blob[:4096] or b"soak",
                    config.crash_write_trials, config.seed)
 
     for index, kernel in enumerate(kernels):
@@ -302,7 +315,7 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
         # mutates weights in place and must not leak across kernels
         # (or into the caller's model).
         record, run_counters = _soak_one_kernel(
-            SSMDVFSModel.from_bytes(model.to_bytes()), kernel, arch,
+            SSMDVFSModel.from_bytes(blob), kernel, arch,
             power_model, store, config, seed=config.seed + 101 * index)
         result.records.append(record)
         result.merge_counters(run_counters)

@@ -65,7 +65,6 @@ from ..core.policy import ModelOraclePolicy, StaticPolicy
 from ..errors import FleetError, FleetFaultError
 from ..faults import NodeFaultPlan
 from ..gpu.arch import GPUArchConfig
-from ..gpu.cluster import quantum_row_for
 from ..gpu.fused import (FusedCampaignEngine, SharedContextCache,
                          dump_shared, fuse_groups, release_shared)
 from ..gpu.interval_model import SolutionCache
@@ -164,7 +163,7 @@ def _fused_simulate_group(task: tuple) -> tuple[list[tuple], dict[str, int]]:
     context = _FLEET_CONTEXTS.get(ref)
     factory = context["factory"]
     kernels = context["kernels"]
-    shared_cache = SolutionCache(payload_builder=quantum_row_for)
+    shared_cache = SolutionCache()
     engine = FusedCampaignEngine()
     for position, (kernel_index, seed) in enumerate(entries):
         simulator = GPUSimulator(

@@ -1,12 +1,14 @@
 """Vectorised quantum kernel: prefetched schedules, stacked solves.
 
-:func:`run_epoch_batch` advances *many* :class:`~repro.gpu.cluster.
-ClusterState` objects through one DVFS epoch where the scalar
-:meth:`~repro.gpu.cluster.ClusterState.run_epoch` loop runs ~30 Python
-statements per quantum per cluster.  The engine exploits a structural
-property of the quantum loop: quantum *boundaries* are determined
-purely by workload position (phase segment ends and noise-chunk ends),
-never by wall-clock time.  Each cluster's upcoming quanta — boundary,
+:func:`run_epoch_batch` is the epoch engine: it advances *many*
+:class:`~repro.gpu.cluster.ClusterState` objects through one DVFS
+epoch, where a scalar per-cluster quantum loop would run ~30 Python
+statements per quantum per cluster (that loop survives as the test
+suite's reference oracle, ``tests/reference/oracle.py``).  The engine
+exploits a structural property of the quantum loop: quantum
+*boundaries* are determined purely by workload position (phase
+segment ends and noise-chunk ends), never by wall-clock time.  Each
+cluster's upcoming quanta — boundary,
 phase length, noise multipliers, post-quantum cursor state — are
 enumerated ahead of time by a cheap Python shadow cursor, and the
 interval-model solves for a whole *wave* of quanta across all clusters
@@ -28,7 +30,7 @@ same operand order.  The enumeration pass *is* the scalar code:
 positions, chunk indices (CPython ``float.__floordiv__`` is not
 ``floor(x / y)`` in all edge cases, so ``//`` stays in Python),
 boundaries and segment completions are computed on Python floats
-exactly as ``run_epoch`` computes them.  The stepping pass uses only
+exactly as the scalar loop computes them.  The stepping pass uses only
 elementwise numpy ops (add/sub/mul/div/where/comparisons) — correctly
 rounded per element — plus ``np.cumsum``, which accumulates strictly
 left-to-right and therefore reproduces the scalar loop's running
@@ -48,10 +50,10 @@ import numpy as np
 from ..errors import SimulationError
 from .cluster import (A_BW_UTIL_TIME, A_BUSY_S, A_CYCLES, A_INSTRUCTIONS,
                       NUM_ACTIVITY_SLOTS, QR_BW_UTIL, QR_IPC, QROW_WIDTH,
-                      ClusterState, quantum_row_for, quantum_rows_batch)
-from .interval_model import (NUM_PHASE_PARAMS, PP_INSTRUCTIONS,
-                             arch_solve_key_cached, phase_params_row,
-                             phase_solve_key_cached, solve_throughput_batch)
+                      ClusterState, EpochActivity, quantum_rows_batch)
+from .interval_model import (PP_INSTRUCTIONS, arch_solve_key_cached,
+                             phase_params_row, phase_solve_key_cached,
+                             solve_throughput_batch)
 
 #: Epoch-boundary slack, identical to the scalar loop's.
 _EPOCH_EPS = 1e-15
@@ -91,10 +93,10 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                     matrix_out: np.ndarray | None = None) -> BatchEpochResult:
     """Advance every cluster by ``epoch_s`` seconds in lockstep.
 
-    Bit-identical to calling ``cluster.run_epoch(epoch_s)`` on each
-    cluster in turn (see the module docstring for why); cursor, noise
-    and pending-transition state are written back exactly as the
-    scalar loop would leave them.  With ``accumulate=False`` the
+    Bit-identical to running the scalar quantum loop on each cluster in
+    turn (see the module docstring for why); cursor, noise and
+    pending-transition state are written back exactly as the scalar
+    loop would leave them.  With ``accumulate=False`` the
     activity matrix is skipped (state still advances — the datagen
     replay protocol uses this for its reference/tail scans, whose
     counters are never read).  ``matrix_out``, when given, must be a
@@ -103,9 +105,6 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
 
     Clusters may carry different solution caches, architectures,
     kernels and noise tracks; solves are grouped per (cache, arch).
-    Any attached cache must use the :func:`~repro.gpu.cluster.
-    quantum_row_for` payload builder (the default), because batched
-    probes copy payload rows straight into the wave's row matrix.
     """
     if epoch_s <= 0:
         raise SimulationError("epoch duration must be positive")
@@ -153,21 +152,14 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
     group_slot: dict[tuple[int, int], int] = {}
     group_info: list[tuple] = []
     group_of = np.empty(n, dtype=np.intp)
-    ak_list: list[tuple | None] = [None] * n
+    ak_list = [arch_solve_key_cached(arch) for arch in arches]
     for i in range(n):
-        cache = caches[i]
-        if cache is not None:
-            if cache.payload_builder is not quantum_row_for:
-                raise SimulationError(
-                    "run_epoch_batch requires solution caches built with "
-                    "the quantum_row_for payload builder")
-            ak_list[i] = arch_solve_key_cached(arches[i])
-        gk = (id(cache), id(arches[i]))
+        gk = (id(caches[i]), id(arches[i]))
         g = group_slot.get(gk)
         if g is None:
             g = len(group_info)
             group_slot[gk] = g
-            group_info.append((cache, arches[i]))
+            group_info.append((caches[i], arches[i]))
         group_of[i] = g
     multi_group = len(group_info) > 1
 
@@ -194,7 +186,7 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
     e_live = [False] * n
     e_params: list[np.ndarray | None] = [None] * n
     e_ph = [0.0] * n
-    e_key: list[tuple | None] = [None] * n
+    e_key: list[int | None] = [None] * n
     # All clusters start dirty: the first refill syncs the shadow
     # cursor from real state through the same path that recovers from
     # a flushed prefetch.
@@ -225,8 +217,7 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
             row = phase_params_row(phase)
             e_params[i] = row
             e_ph[i] = float(row[PP_INSTRUCTIONS])
-            if caches[i] is not None:
-                e_key[i] = phase_solve_key_cached(phase)
+            e_key[i] = phase_solve_key_cached(phase)
         dirty[i] = False
 
     def _refill(targets: list[int]) -> None:
@@ -245,7 +236,6 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
         for i in targets:
             if dirty[i]:
                 _resync(i)
-            cached_i = caches[i] is not None
             akv = ak_list[i]
             pkv = e_key[i]
             fv = freq_list[i]
@@ -280,8 +270,7 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                     m2 = tr2[chunk]
                 b = min(ph_i - done_i, float((chunk + 1) * ci) - pos)
                 wave_append((i, b, ph_i, m0, m1, m2, params_i,
-                             (akv, pkv, fv, m0, m1, m2)
-                             if cached_i else None))
+                             (akv, pkv, fv, m0, m1, m2)))
                 done_i += b
                 if done_i >= ph_i - _SEGMENT_EPS:
                     comp_i += ph_i
@@ -292,9 +281,8 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                         row = phase_params_row(phase)
                         params_i = row
                         ph_i = float(row[PP_INSTRUCTIONS])
-                        if cached_i:
-                            pkv = phase_solve_key_cached(phase)
-                            e_key[i] = pkv
+                        pkv = phase_solve_key_cached(phase)
+                        e_key[i] = pkv
                     else:
                         live_i = False
                 post_append((done_i, comp_i, seg_i))
@@ -340,30 +328,20 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                 gfreq = wfreq
                 gkeys = wave_keys
                 target = wrows
-            if cache is None:
+            missing = cache.probe_batch(gkeys, target)
+            if missing:
                 if sel_list is None:
-                    gparams = np.stack(wave_params)
+                    mparams = np.stack([wave_params[j] for j, _ in missing])
                 else:
-                    gparams = np.stack([wave_params[j] for j in sel_list])
-                sol = solve_throughput_batch(garch, gparams, gfreq,
-                                             gw, gm, gc)
-                quantum_rows_batch(garch, gparams, sol, out=target)
-            else:
-                missing = cache.probe_batch(gkeys, target)
-                if missing:
-                    if sel_list is None:
-                        mparams = np.stack(
-                            [wave_params[j] for j, _ in missing])
-                    else:
-                        mparams = np.stack(
-                            [wave_params[sel_list[j]] for j, _ in missing])
-                    midx = np.array([j for j, _ in missing], dtype=np.intp)
-                    msol = solve_throughput_batch(
-                        garch, mparams, gfreq[midx],
-                        gw[midx], gm[midx], gc[midx])
-                    mrows = quantum_rows_batch(garch, mparams, msol)
-                    target[midx] = mrows
-                    cache.store_batch(missing, msol, mrows)
+                    mparams = np.stack(
+                        [wave_params[sel_list[j]] for j, _ in missing])
+                midx = np.array([j for j, _ in missing], dtype=np.intp)
+                msol = solve_throughput_batch(
+                    garch, mparams, gfreq[midx],
+                    gw[midx], gm[midx], gc[midx])
+                mrows = quantum_rows_batch(garch, mparams, msol)
+                target[midx] = mrows
+                cache.store_batch(missing, mrows)
             if gsel is not None:
                 wrows[gsel] = target
         # Per-wave precomputation of quantum times and state-row
@@ -567,3 +545,17 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
         instructions=instructions,
         finished=np.array([not r for r in runnable], dtype=bool),
     )
+
+
+def epoch_activities(clusters: list[ClusterState],
+                     epoch_s: float) -> list[EpochActivity]:
+    """One batched epoch, returned as per-cluster activity records."""
+    result = run_epoch_batch(clusters, epoch_s)
+    activities = []
+    for cluster, row, finished in zip(clusters, result.matrix,
+                                      result.finished.tolist()):
+        point = cluster.arch.vf_table[cluster.level]
+        activities.append(EpochActivity.from_vector(
+            row, duration_s=epoch_s, frequency_hz=point.frequency_hz,
+            voltage_v=point.voltage_v, finished=finished))
+    return activities

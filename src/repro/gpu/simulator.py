@@ -28,7 +28,7 @@ from ..rng import StreamFactory
 from ..units import us
 from .arch import GPUArchConfig
 from .cluster import (A_BUSY_S, NUM_ACTIVITY_SLOTS, ClusterState,
-                      EpochActivity, build_counters_matrix, quantum_row_for)
+                      build_counters_matrix)
 from .counters import COUNTER_INDEX, CounterSet
 from .interval_model import SolutionCache
 from .kernels import KernelProfile
@@ -116,10 +116,8 @@ class GPUSimulator:
                  power_model: PowerModel | None = None,
                  seed: int | None = None,
                  epoch_s: float = DEFAULT_EPOCH_S,
-                 use_solution_cache: bool = True,
                  solution_cache: SolutionCache | None = None,
-                 noise_cache: dict | None = None,
-                 vectorized: bool = True) -> None:
+                 noise_cache: dict | None = None) -> None:
         if epoch_s <= 0:
             raise SimulationError("epoch length must be positive")
         self.arch = arch
@@ -146,19 +144,8 @@ class GPUSimulator:
         # fused campaign engine's cross-task reuse path.  Keys capture
         # every solver input bit-exactly, so sharing never changes
         # results, only hit rates.
-        if solution_cache is not None:
-            self.solution_cache: SolutionCache | None = solution_cache
-        else:
-            self.solution_cache = (
-                SolutionCache(payload_builder=quantum_row_for)
-                if use_solution_cache else None)
-        # The batched quantum engine needs the quantum-row cache payload
-        # (the default); a caller-supplied cache with a different
-        # builder silently falls back to the scalar per-cluster loop so
-        # existing integrations keep working unchanged.
-        self._vectorized = bool(vectorized) and (
-            self.solution_cache is None
-            or self.solution_cache.payload_builder is quantum_row_for)
+        self.solution_cache = (solution_cache if solution_cache is not None
+                               else SolutionCache())
         self.clusters: list[ClusterState] = []
         skew_rngs = {k.name: streams.get(f"skew.{k.name}") for k in kernels}
         for cid in range(arch.num_clusters):
@@ -193,8 +180,7 @@ class GPUSimulator:
             )
         self.time_s = 0.0
         self.epoch_index = 0
-        # Preallocated per-epoch buffers (vectorised path): the batched
-        # engine writes activity vectors straight into ``_activity_buf``
+        # Preallocated per-epoch buffers: the batched engine writes activity vectors straight into ``_activity_buf``
         # and power evaluation reads constant duration / table-indexed
         # voltage arrays instead of rebuilding them per epoch.
         n = arch.num_clusters
@@ -260,66 +246,21 @@ class GPUSimulator:
     def step_epoch(self) -> EpochRecord:
         """Run one DVFS epoch on every cluster and account power.
 
-        Counter building and power accounting are vectorised over the
-        clusters: one ``(clusters, slots)`` activity matrix feeds one
-        counter-matrix build and one batched power evaluation instead of
-        per-cluster scalar passes.
+        All clusters advance through one :func:`~repro.gpu.quantum.
+        run_epoch_batch` call; counter building and power accounting
+        are vectorised over the clusters: one ``(clusters, slots)``
+        activity matrix feeds one counter-matrix build and one batched
+        power evaluation.
         """
         if self.finished:
             raise SimulationError("cannot step a finished simulation")
-        if self._vectorized:
-            return self._step_epoch_vectorized()
-        activities: list[EpochActivity] = []
-        levels = self.levels
-        for cluster in self.clusters:
-            activities.append(cluster.run_epoch(self.epoch_s))
-
-        activity_matrix = np.stack([a.as_vector() for a in activities])
-        counters_matrix = build_counters_matrix(activity_matrix, self.arch)
-        dynamic_w, static_w, energy_j = self.power_model.cluster_power_batch(
-            activities, matrix=activity_matrix)
-        counters_matrix[:, COUNTER_INDEX["power_per_core"]] = (dynamic_w
-                                                               + static_w)
-        counters_matrix[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
-        counters_matrix[:, COUNTER_INDEX["power_static"]] = static_w
-        counters_matrix[:, COUNTER_INDEX["energy_epoch"]] = energy_j
-        cluster_counters = [CounterSet.from_vector(row)
-                            for row in counters_matrix]
-        cluster_energy = float(energy_j.sum())
-        uncore = self.power_model.uncore_power(activities, self.epoch_s,
-                                               matrix=activity_matrix)
-
-        all_finished = all(a.finished for a in activities)
-        finish_time = max((a.busy_s for a in activities), default=0.0)
-        record = EpochRecord(
-            index=self.epoch_index,
-            start_time_s=self.time_s,
-            duration_s=self.epoch_s,
-            levels=levels,
-            counters=CounterSet.from_vector(counters_matrix.mean(axis=0)),
-            cluster_counters=cluster_counters,
-            instructions=sum(a.instructions for a in activities),
-            cluster_energy_j=cluster_energy,
-            uncore_energy_j=uncore.energy_j,
-            all_finished=all_finished,
-            finish_time_s=finish_time,
-        )
-        self.time_s += self.epoch_s
-        self.epoch_index += 1
-        return record
-
-    def _step_epoch_vectorized(self) -> EpochRecord:
-        """Batched :meth:`step_epoch`: one quantum-kernel call for all
-        clusters, no per-cluster activity objects, bit-identical output.
-        """
         levels = self.levels
         result = run_epoch_batch(self.clusters, self.epoch_s,
                                  matrix_out=self._activity_buf)
         activity_matrix = result.matrix
         counters_matrix = build_counters_matrix(activity_matrix, self.arch)
         dynamic_w, static_w, energy_j = self.power_model.cluster_power_batch(
-            None, matrix=activity_matrix, durations=self._durations,
-            voltages=self._voltage_by_level[levels])
+            activity_matrix, self._durations, self._voltage_by_level[levels])
         counters_matrix[:, COUNTER_INDEX["power_per_core"]] = (dynamic_w
                                                                + static_w)
         counters_matrix[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
@@ -454,8 +395,7 @@ class GPUSimulator:
         keeps its full ``duration_s`` — no truncation is applied because
         the simulator genuinely ran (and spent energy over) the whole
         epoch.  Callers needing sub-epoch resolution interpolate within
-        that final epoch, as the protocol's ``_time_to_reach_mark``
-        does.
+        that final epoch, as the protocol's grid-replay tails do.
         """
         records = []
         epochs = 0

@@ -112,7 +112,10 @@ def run_with_breakdown(simulator, policy,
     Returns ``(run_result, breakdown)``.  The breakdown's total closely
     tracks the run's accounted energy (final-epoch truncation excepted).
     """
-    from ..gpu.simulator import RunResult
+    from ..gpu.cluster import build_counters
+    from ..gpu.counters import CounterSet
+    from ..gpu.quantum import epoch_activities
+    from ..gpu.simulator import EpochRecord, RunResult
     from .energy import EnergyAccount
 
     policy.reset(simulator)
@@ -122,10 +125,10 @@ def run_with_breakdown(simulator, policy,
     while not simulator.finished:
         if epochs >= max_epochs:
             raise ConfigError("run exceeded the epoch budget")
-        # Capture activities by stepping the clusters through the
-        # simulator's normal path and recomputing components.
-        activities = [cluster.run_epoch(simulator.epoch_s)
-                      for cluster in simulator.clusters]
+        # Step the clusters through the epoch engine and recompute the
+        # components from per-cluster activity records.
+        start_time_s = simulator.time_s
+        activities = epoch_activities(simulator.clusters, simulator.epoch_s)
         epoch_breakdown = breakdown_for_epoch(
             activities, simulator.power_model, simulator.epoch_s)
         breakdown.add(epoch_breakdown)
@@ -136,9 +139,6 @@ def run_with_breakdown(simulator, policy,
         if simulator.finished:
             break
         # Rebuild a record for the policy from the same activities.
-        from ..gpu.cluster import build_counters
-        from ..gpu.counters import CounterSet
-        from ..gpu.simulator import EpochRecord
         cluster_counters = []
         for activity in activities:
             power = simulator.power_model.cluster_power(activity)
@@ -149,7 +149,7 @@ def run_with_breakdown(simulator, policy,
             counters["energy_epoch"] = power.energy_j
             cluster_counters.append(counters)
         record = EpochRecord(
-            index=epochs - 1, start_time_s=simulator.time_s,
+            index=epochs - 1, start_time_s=start_time_s,
             duration_s=simulator.epoch_s,
             levels=[c.level for c in simulator.clusters],
             counters=CounterSet.average(cluster_counters),

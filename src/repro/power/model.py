@@ -179,30 +179,19 @@ class PowerModel:
             energy_j=dynamic_j + static_j,
         )
 
-    def cluster_power_batch(self, activities: list[EpochActivity] | None,
-                            matrix: np.ndarray | None = None,
-                            durations: np.ndarray | None = None,
-                            voltages: np.ndarray | None = None
+    def cluster_power_batch(self, matrix: np.ndarray, durations: np.ndarray,
+                            voltages: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised :meth:`cluster_power` over every cluster at once.
 
-        Returns ``(dynamic_w, static_w, energy_j)`` arrays, one entry
-        per cluster row.  ``matrix`` may pass the pre-stacked activity
-        vectors so the caller's stack is reused; ``durations`` and
-        ``voltages`` may pass the per-row epoch lengths and operating
-        voltages directly, in which case ``activities`` is only read
-        for whatever remains unset (the vectorised quantum engine
-        passes all three and no activity objects at all).
+        ``matrix`` stacks the clusters' activity vectors (one row per
+        cluster); ``durations`` and ``voltages`` are the per-row epoch
+        lengths and operating voltages.  Returns ``(dynamic_w,
+        static_w, energy_j)`` arrays, one entry per row.
         """
         cfg = self.config
-        if matrix is None:
-            matrix = np.stack([a.as_vector() for a in activities])
-        if durations is None:
-            durations = np.array([a.duration_s for a in activities])
         if np.any(durations <= 0):
             raise ConfigError("activity duration must be positive")
-        if voltages is None:
-            voltages = np.array([a.voltage_v for a in activities])
         vratio = voltages / REFERENCE_VOLTAGE
         v2 = vratio * vratio
 

@@ -8,6 +8,7 @@ from repro.errors import ConfigError
 from repro.gpu.arch import small_test_config
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase, memory_phase
+from repro.gpu.quantum import epoch_activities
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.vf import interpolated_vf_table, titan_x_vf_table
 from repro.power.breakdown import (EnergyBreakdown, breakdown_for_epoch,
@@ -68,7 +69,7 @@ def test_epoch_breakdown_matches_power_model(small_arch):
     """Component sum must equal the PowerModel's accounted energy."""
     simulator = GPUSimulator(small_arch, _kernel(), seed=1)
     model = simulator.power_model
-    activities = [cluster.run_epoch(us(10)) for cluster in simulator.clusters]
+    activities = epoch_activities(simulator.clusters, us(10))
     breakdown = breakdown_for_epoch(activities, model, us(10))
     reference = sum(model.cluster_power(a).energy_j for a in activities)
     reference += model.uncore_power(activities, us(10)).energy_j
@@ -82,6 +83,30 @@ def test_run_with_breakdown_closes(small_arch):
     assert simulator.finished
     assert breakdown.total_j == pytest.approx(result.energy_j, rel=1e-9)
     assert result.time_s > 0
+
+
+class _RecordingPolicy(StaticPolicy):
+    """Static policy that keeps every record it is asked to decide on."""
+
+    def __init__(self, level):
+        super().__init__(level)
+        self.seen = []
+
+    def decide(self, record):
+        self.seen.append(record)
+        return super().decide(record)
+
+
+def test_run_with_breakdown_records_start_at_epoch_start(small_arch):
+    """The policy sees each epoch stamped with its *start* time, as
+    ``GPUSimulator.step_epoch`` stamps it."""
+    simulator = GPUSimulator(small_arch, _kernel(iterations=2), seed=2)
+    policy = _RecordingPolicy(5)
+    run_with_breakdown(simulator, policy)
+    assert len(policy.seen) > 1
+    for record in policy.seen:
+        assert record.start_time_s == pytest.approx(
+            record.index * simulator.epoch_s, rel=1e-9)
 
 
 def test_memory_kernel_has_larger_invariant_floor(small_arch):

@@ -8,6 +8,7 @@ from repro.gpu.cluster import ClusterState, build_counters
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.noise import WorkloadNoise
 from repro.gpu.phases import balanced_phase, compute_phase, memory_phase
+from repro.gpu.quantum import epoch_activities
 from repro.rng import stream
 from repro.units import us
 
@@ -25,21 +26,25 @@ def _cluster(phases=None, iterations=3, sigma=0.0, skew=0.0):
     return ClusterState(ARCH, kernel, noise, skew_instructions=skew)
 
 
+def _run_epoch(cluster, epoch_s):
+    return epoch_activities([cluster], epoch_s)[0]
+
+
 def test_epoch_advances_work():
     cluster = _cluster()
-    activity = cluster.run_epoch(us(10))
+    activity = _run_epoch(cluster, us(10))
     assert activity.instructions > 0
     assert cluster.instructions_done == pytest.approx(activity.instructions)
 
 
 def test_epoch_duration_recorded():
-    activity = _cluster().run_epoch(us(10))
+    activity = _run_epoch(_cluster(), us(10))
     assert activity.duration_s == pytest.approx(us(10))
     assert 0 < activity.busy_s <= us(10) + 1e-12
 
 
 def test_instruction_classes_sum_to_total():
-    activity = _cluster().run_epoch(us(10))
+    activity = _run_epoch(_cluster(), us(10))
     assert sum(activity.inst_by_class.values()) == pytest.approx(
         activity.instructions, rel=1e-9)
 
@@ -49,9 +54,9 @@ def test_kernel_finishes_and_then_idles():
     for _ in range(200):
         if cluster.finished:
             break
-        cluster.run_epoch(us(10))
+        _run_epoch(cluster, us(10))
     assert cluster.finished
-    idle = cluster.run_epoch(us(10))
+    idle = _run_epoch(cluster, us(10))
     assert idle.instructions == 0
     assert idle.cycles > 0  # idle cycles still clock
     assert idle.finished
@@ -61,8 +66,8 @@ def test_lower_level_executes_fewer_instructions_on_compute():
     fast = _cluster(phases=[compute_phase("c", 10 ** 9, warps=16)])
     slow = _cluster(phases=[compute_phase("c", 10 ** 9, warps=16)])
     slow.set_level(0)
-    a_fast = fast.run_epoch(us(10))
-    a_slow = slow.run_epoch(us(10))
+    a_fast = _run_epoch(fast, us(10))
+    a_slow = _run_epoch(slow, us(10))
     assert a_slow.instructions < a_fast.instructions * 0.75
 
 
@@ -70,8 +75,8 @@ def test_memory_bound_barely_affected_by_level():
     fast = _cluster(phases=[memory_phase("m", 10 ** 9, l1_miss=0.8, l2_miss=0.8)])
     slow = _cluster(phases=[memory_phase("m", 10 ** 9, l1_miss=0.8, l2_miss=0.8)])
     slow.set_level(0)
-    a_fast = fast.run_epoch(us(10))
-    a_slow = slow.run_epoch(us(10))
+    a_fast = _run_epoch(fast, us(10))
+    a_slow = _run_epoch(slow, us(10))
     assert a_slow.instructions > a_fast.instructions * 0.88
 
 
@@ -87,8 +92,8 @@ def test_dvfs_transition_charges_dead_time():
     b = _cluster(phases=[compute_phase("c", 10 ** 9)])
     b.set_level(4)
     b.set_level(5)  # two transitions pending
-    act_a = a.run_epoch(us(10))
-    act_b = b.run_epoch(us(10))
+    act_a = _run_epoch(a, us(10))
+    act_b = _run_epoch(b, us(10))
     assert act_b.instructions < act_a.instructions
 
 
@@ -100,11 +105,11 @@ def test_same_level_switch_is_free():
 
 def test_snapshot_restore_replays_exactly():
     cluster = _cluster(sigma=0.1)
-    cluster.run_epoch(us(10))
+    _run_epoch(cluster, us(10))
     snap = cluster.snapshot()
-    first = cluster.run_epoch(us(10))
+    first = _run_epoch(cluster, us(10))
     cluster.restore(snap)
-    second = cluster.run_epoch(us(10))
+    second = _run_epoch(cluster, us(10))
     assert first.instructions == pytest.approx(second.instructions)
     assert first.stall_mem_load == pytest.approx(second.stall_mem_load)
 
@@ -113,14 +118,14 @@ def test_replay_at_other_level_is_deterministic():
     """Restoring and running at another V/f must itself replay exactly —
     the noise is indexed by workload position, not by wall-clock time."""
     cluster = _cluster(sigma=0.15, iterations=50)
-    cluster.run_epoch(us(10))
+    _run_epoch(cluster, us(10))
     snap = cluster.snapshot()
     base_done = None
     runs = []
     for _ in range(2):
         cluster.restore(snap)
         cluster.set_level(0)
-        activity = cluster.run_epoch(us(50))
+        activity = _run_epoch(cluster, us(50))
         runs.append(activity)
         base_done = cluster.instructions_done
     assert runs[0].instructions == pytest.approx(runs[1].instructions)
@@ -128,18 +133,18 @@ def test_replay_at_other_level_is_deterministic():
     # And the slow run cannot out-execute the fast one over the same time.
     cluster.restore(snap)
     cluster.set_level(5)
-    cluster.run_epoch(us(50))
+    _run_epoch(cluster, us(50))
     assert base_done <= cluster.instructions_done + 1e-6
 
 
 def test_nonpositive_epoch_rejected():
     with pytest.raises(SimulationError):
-        _cluster().run_epoch(0.0)
+        _run_epoch(_cluster(), 0.0)
 
 
 def test_build_counters_consistency():
     cluster = _cluster(phases=[balanced_phase("b", 50_000)])
-    activity = cluster.run_epoch(us(10))
+    activity = _run_epoch(cluster, us(10))
     counters = build_counters(activity, ARCH)
     assert counters["inst_total"] == pytest.approx(activity.instructions)
     assert counters["ipc"] == pytest.approx(activity.ipc)

@@ -7,6 +7,7 @@ from repro.gpu.arch import titan_x_config
 from repro.gpu.cluster import ClusterState
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.noise import WorkloadNoise
+from repro.gpu.quantum import epoch_activities
 from repro.gpu.phases import compute_phase, memory_phase
 from repro.power.energy import EnergyAccount, performance_loss
 from repro.power.model import PowerModel, PowerModelConfig
@@ -20,7 +21,7 @@ def _activity(level=5, phase=None):
     kernel = KernelProfile(name="p.k", phases=[phase or compute_phase("c", 10 ** 8)])
     cluster = ClusterState(ARCH, kernel, WorkloadNoise(stream("pw", 1), 0.0))
     cluster.set_level(level)
-    return cluster.run_epoch(us(10))
+    return epoch_activities([cluster], us(10))[0]
 
 
 def test_cluster_power_positive():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.gpu.arch import small_test_config
 from repro.gpu.cluster import ClusterState
 from repro.gpu.noise import WorkloadNoise
+from repro.gpu.quantum import epoch_activities
 from repro.gpu.simulator import GPUSimulator
 from repro.power.model import PowerModel
 from repro.rng import stream
@@ -23,7 +24,7 @@ def _activity(seed, level):
                            WorkloadNoise(stream(f"p{seed}", seed),
                                          kernel.jitter))
     cluster.set_level(level)
-    return cluster.run_epoch(us(10))
+    return epoch_activities([cluster], us(10))[0]
 
 
 @given(st.integers(0, 10_000), st.integers(0, 5))

@@ -83,6 +83,21 @@ def test_soak_is_seed_reproducible(small_pipeline, small_arch, soak_kernels,
             == json.dumps(again.to_payload(), sort_keys=True))
 
 
+def test_soak_rerun_on_warm_store_is_identical(small_pipeline, small_arch,
+                                              soak_kernels, tmp_path):
+    """A second soak of the same pair on the same store root keeps the
+    blessed version, so the payload (rollback target included) repeats
+    byte for byte."""
+    model = small_pipeline.models["base"]
+    config = SoakConfig(seed=7, crash_write_trials=2)
+    cold = run_soak(model, soak_kernels[:1], small_arch, tmp_path, config)
+    warm = run_soak(model, soak_kernels[:1], small_arch, tmp_path, config)
+    assert cold.counters["rollback_restored_version"] == 1
+    assert (json.dumps(cold.to_payload(), sort_keys=True)
+            == json.dumps(warm.to_payload(), sort_keys=True))
+    assert ArtifactStore(tmp_path).last_known_good(SOAK_ARTIFACT) == 1
+
+
 def test_soak_tiny_recovery_budget_reports_violation(small_pipeline,
                                                      small_arch,
                                                      soak_kernels, tmp_path):

@@ -2,11 +2,13 @@
 
 The tentpole guarantee of the memoised epoch engine is that caching is
 *observably free*: every simulated quantity — counter vectors, energy,
-instruction counts, datagen labels — is bit-identical with the cache on
-and off.  The cache keys capture every solver input exactly, so a hit
-can only ever return the solution the solver would have recomputed.
+instruction counts, datagen labels — is bit-identical to the scalar
+oracle re-solving every quantum without any cache.  The cache keys
+capture every solver input exactly, so a hit can only ever return the
+row the solver would have recomputed.
 """
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +16,17 @@ import pytest
 
 from repro.datagen.protocol import ProtocolConfig, generate_for_kernel
 from repro.gpu.arch import small_test_config
-from repro.gpu.cluster import step_vector_for
-from repro.gpu.interval_model import SolutionCache, solve_throughput
+from repro.gpu.cluster import QROW_WIDTH, quantum_rows_batch
+from repro.gpu.interval_model import (SolutionCache, arch_solve_key_cached,
+                                      phase_params_row,
+                                      phase_solve_key_cached,
+                                      solve_throughput,
+                                      solve_throughput_batch)
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase, compute_phase
 from repro.gpu.simulator import GPUSimulator
 from repro.parallel import CampaignStats
+from tests.reference import oracle
 
 ARCH = small_test_config()
 PHASE = balanced_phase("b", 60_000)
@@ -32,15 +39,14 @@ def _kernel(jitter=0.08):
                          iterations=10, jitter=jitter)
 
 
-def _epoch_stream(use_cache, epochs=8):
+def _epoch_stream(step, epochs=8):
     """Forward epochs over several levels, then a snapshot replay.
 
     The replay re-executes the same workload stretch, which is what
     actually exercises cache hits (a plain forward run with jitter never
     re-solves a position).
     """
-    simulator = GPUSimulator(ARCH, _kernel(), seed=3,
-                             use_solution_cache=use_cache)
+    simulator = GPUSimulator(ARCH, _kernel(), seed=3)
     simulator.set_all_levels(ARCH.vf_table.default_level)
     records = []
     snapshot = simulator.snapshot()
@@ -51,48 +57,52 @@ def _epoch_stream(use_cache, epochs=8):
             simulator.set_all_levels(index % ARCH.vf_table.num_levels)
             if simulator.finished:
                 break
-            records.append(simulator.step_epoch())
+            records.append(step(simulator))
     return records, simulator
 
 
+def _lookup(cache, arch, phase, frequency_hz, warp_m, miss_m, cpi_m):
+    """One-key batched lookup; solves and stores on a miss."""
+    key = (arch_solve_key_cached(arch), phase_solve_key_cached(phase),
+           frequency_hz, warp_m, miss_m, cpi_m)
+    out = np.empty((1, QROW_WIDTH))
+    missing = cache.probe_batch([key], out)
+    if missing:
+        params = phase_params_row(phase)[None, :]
+        batch = solve_throughput_batch(
+            arch, params, np.array([frequency_hz]), np.array([warp_m]),
+            np.array([miss_m]), np.array([cpi_m]))
+        rows = quantum_rows_batch(arch, params, batch)
+        cache.store_batch(missing, rows)
+        out[0] = rows[0]
+    return out[0]
+
+
+def _scalar_row(arch, phase, frequency_hz, warp_m, miss_m, cpi_m):
+    solution = solve_throughput(arch, phase, frequency_hz,
+                                warp_multiplier=warp_m,
+                                miss_multiplier=miss_m, cpi_multiplier=cpi_m)
+    return oracle.quantum_row_for(arch, phase, solution)
+
+
 # ---------------------------------------------------------------------------
-# Bit-identity: cache on vs cache off
+# Bit-identity: cached engine vs the uncached scalar oracle
 # ---------------------------------------------------------------------------
 
 def test_epoch_stream_bit_identical_cache_on_off():
-    cached, sim = _epoch_stream(True)
-    uncached, _ = _epoch_stream(False)
-    assert sim.solution_cache is not None and sim.solution_cache.hits > 0
+    cached, sim = _epoch_stream(lambda simulator: simulator.step_epoch())
+    uncached, _ = _epoch_stream(oracle.step_epoch)
+    assert sim.solution_cache.hits > 0
     assert len(cached) == len(uncached) > 0
-    for a, b in zip(cached, uncached):
-        assert a.levels == b.levels
-        assert a.instructions == b.instructions
-        assert a.cluster_energy_j == b.cluster_energy_j
-        assert a.uncore_energy_j == b.uncore_energy_j
-        assert np.array_equal(a.counters.as_vector(), b.counters.as_vector())
-        for ca, cb in zip(a.cluster_counters, b.cluster_counters):
-            assert np.array_equal(ca.as_vector(), cb.as_vector())
+    assert pickle.dumps(cached) == pickle.dumps(uncached)
 
 
 def test_datagen_bit_identical_cache_on_off():
-    base = dict(max_breakpoints_per_kernel=2, seed=7)
-    on = generate_for_kernel(_kernel(), ARCH,
-                             config=ProtocolConfig(**base))
-    off = generate_for_kernel(_kernel(), ARCH,
-                              config=ProtocolConfig(
-                                  **base, use_solution_cache=False))
+    config = ProtocolConfig(max_breakpoints_per_kernel=2, seed=7)
+    on = generate_for_kernel(_kernel(), ARCH, config=config)
+    off = oracle.generate_for_kernel(_kernel(), ARCH, config=config)
     assert len(on) == len(off) > 0
-    for a, b in zip(on, off):
-        assert a.levels == b.levels
-        assert a.losses == b.losses
-        assert a.segment_losses == b.segment_losses
-        assert a.tf_s == b.tf_s
-        assert a.window_instructions == b.window_instructions
-        assert np.array_equal(a.feature_counters.as_vector(),
-                              b.feature_counters.as_vector())
-        for (la, ca), (lb, cb) in zip(a.feature_variants, b.feature_variants):
-            assert la == lb
-            assert np.array_equal(ca.as_vector(), cb.as_vector())
+    assert pickle.dumps(on) == pickle.dumps(off)
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +122,6 @@ def test_replay_protocol_hits_dominate():
     # The counters flow into the aggregate --stats cache totals.
     assert stats.cache_hits >= hits
     assert "solve_cache_hit" in stats.render()
-
-
-def test_cache_disabled_reports_no_counters():
-    stats = CampaignStats()
-    config = ProtocolConfig(max_breakpoints_per_kernel=1, seed=7,
-                            use_solution_cache=False)
-    generate_for_kernel(_kernel(), ARCH, config=config, stats=stats)
-    assert stats.counter("solve_cache_hit") == 0
-    assert stats.counter("solve_cache_miss") == 0
 
 
 def test_snapshot_replay_hits_without_jitter():
@@ -144,18 +145,14 @@ def test_snapshot_replay_hits_without_jitter():
 # Key derivation and invalidation
 # ---------------------------------------------------------------------------
 
-def test_hit_returns_identical_solution_and_payload():
-    cache = SolutionCache(payload_builder=step_vector_for)
+def test_hit_returns_identical_row():
+    cache = SolutionCache()
     args = (ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    solution_a, payload_a = cache.solve(*args)
-    solution_b, payload_b = cache.solve(*args)
-    assert solution_a is solution_b
-    assert payload_a is payload_b
+    first = _lookup(cache, *args)
+    second = _lookup(cache, *args)
     assert cache.hits == 1 and cache.misses == 1
-    assert np.array_equal(payload_a,
-                          step_vector_for(ARCH, PHASE, solution_a))
-    reference = solve_throughput(ARCH, PHASE, 1.0e9)
-    assert solution_a == reference
+    assert first.tobytes() == second.tobytes()
+    assert first.tobytes() == _scalar_row(*args).tobytes()
 
 
 def test_distinct_inputs_never_alias():
@@ -171,34 +168,32 @@ def test_distinct_inputs_never_alias():
         (replace(ARCH, issue_width=2.0), PHASE,
          1.0e9, 1.0, 1.0, 1.0),                        # architecture
     ]
-    solutions = [cache.solve(*v)[0] for v in variants]
+    rows = [_lookup(cache, *v) for v in variants]
     assert cache.misses == len(variants) and cache.hits == 0
-    for variant, solution in zip(variants, solutions):
-        arch, phase, freq, warp_m, miss_m, cpi_m = variant
-        assert solution == solve_throughput(
-            arch, phase, freq, warp_multiplier=warp_m,
-            miss_multiplier=miss_m, cpi_multiplier=cpi_m)
+    for variant, row in zip(variants, rows):
+        assert row.tobytes() == _scalar_row(*variant).tobytes()
 
 
 def test_equal_valued_arch_objects_share_entries():
     # Keys derive from the solver-relevant *fields*, not object identity,
     # so a second arch object with identical values hits.
     cache = SolutionCache()
-    cache.solve(small_test_config(), PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    cache.solve(small_test_config(), PHASE, 1.0e9, 1.0, 1.0, 1.0)
+    _lookup(cache, small_test_config(), PHASE, 1.0e9, 1.0, 1.0, 1.0)
+    _lookup(cache, small_test_config(), PHASE, 1.0e9, 1.0, 1.0, 1.0)
     assert cache.hits == 1 and cache.misses == 1
 
 
 def test_eviction_clears_and_counts():
     cache = SolutionCache(max_entries=2)
     for index in range(3):
-        cache.solve(ARCH, PHASE, 1.0e9 + index * 1e7, 1.0, 1.0, 1.0)
+        _lookup(cache, ARCH, PHASE, 1.0e9 + index * 1e7, 1.0, 1.0, 1.0)
     assert cache.evictions == 2  # both resident entries were flushed
     assert len(cache) == 1  # flushed at capacity, then one fresh entry
     assert cache.misses == 3
     # A re-solve of a flushed key misses again but stays correct.
-    solution, _ = cache.solve(ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    assert solution == solve_throughput(ARCH, PHASE, 1.0e9)
+    row = _lookup(cache, ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
+    assert row.tobytes() == _scalar_row(ARCH, PHASE, 1.0e9,
+                                        1.0, 1.0, 1.0).tobytes()
 
 
 def test_invalid_max_entries_rejected():
@@ -210,8 +205,8 @@ def test_invalid_max_entries_rejected():
 def test_hit_rate_accounting():
     cache = SolutionCache()
     assert cache.hit_rate == 0.0
-    cache.solve(ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    cache.solve(ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    cache.solve(ARCH, PHASE, 1.1e9, 1.0, 1.0, 1.0)
+    _lookup(cache, ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
+    _lookup(cache, ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
+    _lookup(cache, ARCH, PHASE, 1.1e9, 1.0, 1.0, 1.0)
     assert cache.lookups == 3
     assert cache.hit_rate == pytest.approx(1.0 / 3.0)
