@@ -11,10 +11,10 @@
 # gate for the offline training pipeline (batched RFE scoring, sweep
 # cache, population replicas); it writes
 # benchmarks/results/BENCH_training_pipeline.json.
-# `fused-bench-smoke` is the fused-campaign perf gate: it asserts the
-# fused engine reproduces the serial grid byte-for-byte and beats the
-# process-pool fan-out >= 3x, and writes
-# benchmarks/results/BENCH_fused_sim.json.
+# `fused-bench-smoke` is the campaign-engine perf gate: it asserts the
+# grouped evaluation grid reproduces the per-task oracle in tests/reference/
+# byte-for-byte and beats its process-pool fan-out >= 3x and its serial
+# loop >= 2x, and writes benchmarks/results/BENCH_fused_sim.json.
 # `quantum-bench-smoke` is the vectorised-quantum-kernel perf gate: it
 # asserts the batched epoch engine and the lockstep V/f-grid replay are
 # byte-identical to the scalar oracle in tests/reference/ and beat it
@@ -36,14 +36,11 @@ test-fast:
 # Fault-injection smoke: a small sweep over every fault mode (including
 # 100% sensor dropout, which must engage the guard's fallback) plus the
 # resilience-focused test modules.  Zero unhandled exceptions expected.
-# The sweep runs twice — serial and fused — because faulty/guarded
-# wrappers take the engine's solo-decision path, which must survive the
-# same fault menu.
+# The sweep runs through the campaign engine, where faulty/guarded
+# wrappers take the solo-decision path under the whole fault menu.
 faults-smoke:
 	$(PYTHON) -m repro.cli faults --small --mode all --rates 0 1.0 \
 		--kernels 1 --duration-us 60 --stats
-	$(PYTHON) -m repro.cli faults --small --mode all --rates 0 1.0 \
-		--kernels 1 --duration-us 60 --stats --fused
 	$(PYTHON) -m pytest -q tests/test_faults.py tests/test_parallel.py
 
 # Fleet smoke: replay a bursty two-class trace over 16 simulated GPUs

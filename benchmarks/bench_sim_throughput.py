@@ -38,6 +38,7 @@ from repro.datagen.protocol import (ProtocolConfig, generate_chunks_for_suite,
                                     generate_for_kernel,
                                     scale_kernel_for_protocol)
 from repro.evaluation.runner import compare_policies
+from repro.gpu.fused import GROUP_WIDTH
 from repro.gpu.arch import small_test_config, titan_x_config
 from repro.gpu.counters import COUNTER_NAMES, CounterSet
 from repro.gpu.kernels import KernelProfile
@@ -247,16 +248,17 @@ def test_batched_inference_speedup():
 
 
 # ---------------------------------------------------------------------------
-# Fused campaign engine: fused vs parallel vs serial wall-clock
+# Campaign engine: grouped compare_policies vs the per-task oracle
 # ---------------------------------------------------------------------------
 
 FUSED_RESULTS_PATH = Path(__file__).resolve().parent / "results" / \
     "BENCH_fused_sim.json"
 
 #: Presets swept per kernel — the Fig. 4 grid shape.  Each preset is a
-#: full campaign task, so the fused engine co-simulates
-#: ``len(_FUSED_PRESETS) + 1`` (baseline) tasks per kernel and shares
-#: their noise tracks and interval-model solves.
+#: full campaign task, so each kernel contributes
+#: ``len(_FUSED_PRESETS) + 1`` (baseline) tasks; every group of
+#: ``GROUP_WIDTH`` consecutive tasks co-simulates in lockstep and shares
+#: noise tracks and interval-model solves.
 _FUSED_PRESETS = (0.04, 0.05, 0.06, 0.08, 0.10, 0.12, 0.15, 0.18,
                   0.20, 0.25, 0.30)
 _FUSED_SEED = 3
@@ -301,13 +303,14 @@ def _fused_eval_setup():
     return arch, factories, kernels
 
 
-def _fused_eval_run(fused, workers, fuse_width=64):
-    """One full campaign; returns (comparable payload, stats)."""
+def _fused_eval_run(compare, workers=1):
+    """One full campaign through ``compare`` (the public
+    ``compare_policies`` or the oracle's per-task twin); returns
+    (comparable payload, stats)."""
     arch, factories, kernels = _fused_eval_setup()
     stats = CampaignStats()
-    result = compare_policies(factories, kernels, arch, preset=0.10,
-                              seed=_FUSED_SEED, workers=workers, stats=stats,
-                              fused=fused, fuse_width=fuse_width)
+    result = compare(factories, kernels, arch, preset=0.10,
+                     seed=_FUSED_SEED, workers=workers, stats=stats)
     payload = [(r.policy_name, r.kernel_name, r.time_s, r.energy_j,
                 r.normalized_edp, r.normalized_latency, r.epochs)
                for r in result.runs]
@@ -315,25 +318,29 @@ def _fused_eval_run(fused, workers, fuse_width=64):
 
 
 def test_fused_campaign_speedup():
-    """The fused engine must beat the pool fan-out >= 3x, bit-identically.
+    """The campaign engine must beat the per-task pool fan-out >= 3x and
+    the per-task serial loop >= 2x, bit-identically.
 
     One campaign = (len(_FUSED_PRESETS) + 1 baseline) policies x 4
-    evaluation kernels = 48 tasks.  The serial and parallel legs run
-    each task's quantum loop independently; the fused leg co-simulates
-    all tasks of a group in lockstep, sharing the solution cache, the
-    position-indexed noise tracks and one batched inference pass per
-    quantum.  Identity is asserted before timing: the speedup gate is
-    only meaningful if the fused path produces byte-identical results.
-    Best-of-3 wall-clock per leg (plain ``perf_counter`` so the gate
-    runs under ``--benchmark-disable`` in CI).
+    evaluation kernels = 48 tasks.  The fused leg is the public
+    ``compare_policies``: groups of ``GROUP_WIDTH`` tasks co-simulate in
+    lockstep, sharing the solution cache, the position-indexed noise
+    tracks and one batched inference pass per quantum.  The serial and
+    pool legs are the oracle's per-task reference
+    (``tests/reference/oracle.py``), each task's quantum loop alone, in
+    process or over two workers.  Identity is asserted before timing:
+    the speedup gate is only meaningful if the campaign engine produces
+    byte-identical results.  Best-of-3 wall-clock per leg (plain
+    ``perf_counter`` so the gate runs under ``--benchmark-disable`` in
+    CI).
     """
-    serial_payload, _ = _fused_eval_run(False, 1)
-    parallel_payload, _ = _fused_eval_run(False, 2)
-    fused_payload, fused_stats = _fused_eval_run(True, 1)
+    fused_payload, fused_stats = _fused_eval_run(compare_policies)
+    serial_payload, _ = _fused_eval_run(oracle.compare_policies)
+    parallel_payload, _ = _fused_eval_run(oracle.compare_policies, 2)
     assert fused_payload == serial_payload, \
-        "fused campaign diverged from the serial path"
+        "campaign engine diverged from the per-task oracle"
     assert parallel_payload == serial_payload, \
-        "parallel campaign diverged from the serial path"
+        "pooled oracle diverged from the serial oracle"
 
     def best_of(fn, trials=3):
         best = float("inf")
@@ -343,9 +350,9 @@ def test_fused_campaign_speedup():
             best = min(best, time.perf_counter() - start)
         return best
 
-    serial_s = best_of(lambda: _fused_eval_run(False, 1))
-    parallel_s = best_of(lambda: _fused_eval_run(False, 2))
-    fused_s = best_of(lambda: _fused_eval_run(True, 1))
+    serial_s = best_of(lambda: _fused_eval_run(oracle.compare_policies))
+    parallel_s = best_of(lambda: _fused_eval_run(oracle.compare_policies, 2))
+    fused_s = best_of(lambda: _fused_eval_run(compare_policies))
     vs_parallel = parallel_s / fused_s
     vs_serial = serial_s / fused_s
     counters = {name: value
@@ -356,7 +363,7 @@ def test_fused_campaign_speedup():
     store.atomic_write_text(FUSED_RESULTS_PATH, json.dumps({
         "workload": (f"{len(_FUSED_PRESETS)} presets + baseline x 4 "
                      f"evaluation kernels @ {_FUSED_KERNEL_US:.0f}us, "
-                     "4 clusters"),
+                     f"4 clusters, groups of {GROUP_WIDTH}"),
         "tasks": tasks,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
@@ -366,14 +373,14 @@ def test_fused_campaign_speedup():
         "bit_identical": True,
         "counters": counters,
     }, indent=2, sort_keys=True) + "\n")
-    # Deterministic part of the gate: the fused run must actually have
+    # Deterministic part of the gate: the campaign must actually have
     # fused (grouped inference, shared noise), not silently fallen back
     # to per-task decisions.
     assert counters.get("fused_tasks", 0) == tasks
     assert counters.get("fused_inference_groups", 0) > 0
     assert counters.get("fused_noise_shared", 0) > 0
-    # Timing part: the fused engine's dedup (shared solves + noise) and
-    # batched inference carry the gate; measured headroom is ~3.4-3.6x.
+    # Timing part: the engine's dedup (shared solves + noise) and
+    # batched inference carry the gate.
     assert vs_parallel >= 3.0, \
         f"fused campaign speedup collapsed: {vs_parallel:.2f}x vs parallel"
     assert vs_serial >= 2.0, \

@@ -63,9 +63,7 @@ def _dataset(args, stats: CampaignStats | None = None):
                           use_cache=not getattr(args, "no_cache", False),
                           checkpoint=getattr(args, "checkpoint", False),
                           retries=getattr(args, "retries", 2),
-                          timeout_s=getattr(args, "task_timeout", None),
-                          fused=getattr(args, "fused", False),
-                          fuse_width=getattr(args, "fuse_width", 8))
+                          timeout_s=getattr(args, "task_timeout", None))
 
 
 def _print_stats(args, stats: CampaignStats) -> None:
@@ -178,8 +176,7 @@ def cmd_evaluate(args) -> int:
                       cache_dir=args.cache,
                       use_cache=not args.no_cache,
                       checkpoint=args.checkpoint, retries=args.retries,
-                      timeout_s=args.task_timeout,
-                      fused=args.fused, fuse_width=args.fuse_width)
+                      timeout_s=args.task_timeout)
     print(result.render())
     if args.export:
         export_fig4_json(result, args.export)
@@ -252,8 +249,7 @@ def cmd_faults(args) -> int:
     result = fault_sweep(factories, kernels, arch, preset, modes,
                          args.rates, guard=not args.no_guard,
                          slack=args.slack, seed=args.seed,
-                         workers=args.workers, stats=stats,
-                         fused=args.fused, fuse_width=args.fuse_width)
+                         workers=args.workers, stats=stats)
     print(result.render())
     print(f"total preset violations: {result.total_violations()}; "
           f"guard trips: {result.guard_engagements()}")
@@ -335,6 +331,7 @@ def cmd_fleet(args) -> int:
     """Replay an arrival trace over N simulated GPUs; report fleet SLOs."""
     from .fleet import (ClusterScheduler, ThermalConfig, TraceConfig,
                         build_trace)
+    from .gpu.fused import GROUP_TAG
     from .parallel import CampaignCheckpoint
     arch = _arch(args)
     stats = CampaignStats()
@@ -347,19 +344,17 @@ def cmd_fleet(args) -> int:
     jobs = build_trace(arch, trace_config)
     checkpoint = None
     if args.checkpoint:
-        # Fused checkpoints store per-group results (serial ones store
-        # per-job), so the two must never resume into each other.
-        fused_tag = f"-fused{args.fuse_width}" if args.fused else ""
+        # The checkpoint holds per-group results; the group tag keeps
+        # an untagged per-job checkpoint from ever resuming into it.
         key = (f"fleet-{args.trace}-{policy_name}-n{args.nodes}"
-               f"-j{args.jobs}-s{args.seed}{fused_tag}")
+               f"-j{args.jobs}-s{args.seed}-{GROUP_TAG}")
         checkpoint = CampaignCheckpoint(Path(args.cache) / f"{key}.ckpt",
                                         key=key)
     scheduler = ClusterScheduler(
         arch, factory, num_nodes=args.nodes, policy_name=policy_name,
         seed=args.seed, thermal=ThermalConfig(), workers=args.workers,
         stats=stats, checkpoint=checkpoint, retries=args.retries,
-        timeout_s=args.task_timeout, fused=args.fused,
-        fuse_width=args.fuse_width)
+        timeout_s=args.task_timeout)
     result = scheduler.run(jobs, trace_name=args.trace)
     _report(args, result, stats, True)
     if args.slo_gate is not None:
@@ -501,8 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stats", action="store_true",
                        help="print campaign timings and cache counters "
                             "(dataset/comparison/sweep disk caches, the "
-                            "interval-model solve_cache_hit/miss pair, and "
-                            "the train_models/train_epochs totals)")
+                            "interval-model solve_cache_hit/miss pair, "
+                            "the train_models/train_epochs totals, and the "
+                            "campaign engine's fused_* counters for "
+                            "evaluate, faults and fleet)")
         p.add_argument("--no-cache", action="store_true",
                        help="ignore cached artefacts and regenerate "
                             "(the fresh result still refreshes the cache)")
@@ -515,14 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--task-timeout", type=float, default=None,
                        help="stall watchdog in seconds: terminate workers "
                             "when no task completes for this long")
-        p.add_argument("--fused", action="store_true",
-                       help="co-simulate campaign tasks in lockstep "
-                            "groups through the fused engine (bit-"
-                            "identical results; shared solve caches, "
-                            "batched inference, shared-memory weights)")
-        p.add_argument("--fuse-width", type=int, default=8,
-                       help="tasks co-simulated per fused group "
-                            "(with --fused)")
         if cache:
             p.add_argument("--cache", default=".cache")
             p.add_argument("--breakpoints", type=int, default=10)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from ..datagen.cache import content_key, kernel_suite_fingerprint
 from ..gpu.arch import GPUArchConfig
+from ..gpu.fused import GROUP_TAG
 from ..gpu.kernels import KernelProfile
 from ..parallel import CampaignCheckpoint, CampaignStats
 from ..power.model import PowerModel
@@ -61,25 +62,18 @@ def cached_comparison(cache_dir: str | Path,
                       stats: CampaignStats | None = None,
                       use_cache: bool = True, checkpoint: bool = False,
                       retries: int = 2,
-                      timeout_s: float | None = None,
-                      fused: bool = False,
-                      fuse_width: int = 8) -> ComparisonResult:
+                      timeout_s: float | None = None) -> ComparisonResult:
     """Load a policy × kernel grid from cache, running it on miss.
 
     Counters ``comparison_cache_hit`` / ``comparison_cache_miss`` land
     in ``stats``.  With ``use_cache=False`` the grid is re-run and the
     cache file refreshed.  A corrupt or truncated cache file is a cache
     *miss* (counted in ``comparison_cache_corrupt``), never a crash.
-    ``checkpoint=True`` persists per-run progress next to the cache
-    file (``grid-<key>.ckpt``) so an interrupted campaign resumes;
-    ``retries``/``timeout_s`` tune the resilient fan-out.
-
-    ``fused``/``fuse_width`` run the grid through the fused campaign
-    engine.  The *result* is bit-identical, so fused and serial runs
-    share one cache file; checkpoints are **not** shared — a serial
-    checkpoint stores per-run outcomes while a fused one stores
-    per-group outcomes — so the checkpoint key and file are namespaced
-    with the fused configuration.
+    ``checkpoint=True`` persists per-group progress next to the cache
+    file so an interrupted campaign resumes; ``retries``/``timeout_s``
+    tune the resilient fan-out.  The checkpoint file and key carry the
+    group tag (``grid-<key>.fused8.ckpt``): an untagged checkpoint holds
+    per-run results and is never resumed as group results.
     """
     stats = stats if stats is not None else CampaignStats()
     cache_dir = Path(cache_dir)
@@ -101,16 +95,15 @@ def cached_comparison(cache_dir: str | Path,
             stats.count("comparison_cache_hit")
             return result
     stats.count("comparison_cache_miss")
-    ckpt_suffix = f".fused{fuse_width}" if fused else ""
-    ckpt = (CampaignCheckpoint(cache_dir / f"grid-{key}{ckpt_suffix}.ckpt",
-                               key=f"{key}{ckpt_suffix}")
+    ckpt_key = f"{key}.{GROUP_TAG}"
+    ckpt = (CampaignCheckpoint(cache_dir / f"grid-{ckpt_key}.ckpt",
+                               key=ckpt_key)
             if checkpoint else None)
     result = compare_policies(policy_factories, kernels, arch, preset,
                               power_model, seed=seed, epoch_s=epoch_s,
                               workers=workers, stats=stats,
                               checkpoint=ckpt, retries=retries,
-                              timeout_s=timeout_s,
-                              fused=fused, fuse_width=fuse_width)
+                              timeout_s=timeout_s)
     # Atomic write: a kill mid-save must leave either the previous grid
     # or the new one, never a torn JSON the next run discards.
     atomic_write_text(path, json.dumps(result.to_payload()))

@@ -378,8 +378,8 @@ def run_fig4(models: dict[str, SSMDVFSModel], kernels: list[KernelProfile],
              stats: CampaignStats | None = None,
              cache_dir: str | None = None, cache_token: str | None = None,
              use_cache: bool = True, checkpoint: bool = False,
-             retries: int = 2, timeout_s: float | None = None,
-             fused: bool = False, fuse_width: int = 8) -> Fig4Result:
+             retries: int = 2, timeout_s: float | None = None
+             ) -> Fig4Result:
     """Reproduce Fig. 4 across presets and the full policy line-up.
 
     ``workers`` fans each preset's policy × kernel grid out over a
@@ -387,10 +387,7 @@ def run_fig4(models: dict[str, SSMDVFSModel], kernels: list[KernelProfile],
     on disk keyed by the kernel suite, arch, preset, seed and a model
     ``cache_token`` (defaults to a hash of the models' metadata), and
     ``checkpoint=True`` lets each interrupted grid resume mid-campaign;
-    ``retries``/``timeout_s`` tune the resilient fan-out.
-    ``fused``/``fuse_width`` co-simulate each grid through the fused
-    campaign engine — bit-identical results, so fused and cached serial
-    grids interoperate (see
+    ``retries``/``timeout_s`` tune the resilient fan-out (see
     :func:`repro.evaluation.runner.compare_policies`).
     """
     result = Fig4Result()
@@ -403,14 +400,12 @@ def run_fig4(models: dict[str, SSMDVFSModel], kernels: list[KernelProfile],
                 cache_dir, factories, kernels, arch, preset, power_model,
                 seed=seed, epoch_s=epoch_s, cache_token=cache_token,
                 workers=workers, stats=stats, use_cache=use_cache,
-                checkpoint=checkpoint, retries=retries, timeout_s=timeout_s,
-                fused=fused, fuse_width=fuse_width)
+                checkpoint=checkpoint, retries=retries, timeout_s=timeout_s)
         else:
             result.comparisons[preset] = compare_policies(
                 factories, kernels, arch, preset, power_model, seed=seed,
                 epoch_s=epoch_s, workers=workers, stats=stats,
-                retries=retries, timeout_s=timeout_s,
-                fused=fused, fuse_width=fuse_width)
+                retries=retries, timeout_s=timeout_s)
     return result
 
 

@@ -113,8 +113,7 @@ class SeedSweepResult:
 def seed_sweep(policy_factories: dict[str, callable],
                kernels: list[KernelProfile], arch: GPUArchConfig,
                preset: float, seeds: list[int],
-               power_model: PowerModel | None = None,
-               fused: bool = False, fuse_width: int = 8) -> SeedSweepResult:
+               power_model: PowerModel | None = None) -> SeedSweepResult:
     """Run the comparison under several simulator seeds."""
     if not seeds:
         raise SimulationError("need at least one seed")
@@ -123,8 +122,7 @@ def seed_sweep(policy_factories: dict[str, callable],
     per_policy_lat: dict[str, list[float]] = {}
     for seed in seeds:
         comparison = compare_policies(policy_factories, kernels, arch,
-                                      preset, power_model, seed=seed,
-                                      fused=fused, fuse_width=fuse_width)
+                                      preset, power_model, seed=seed)
         result.comparisons.append(comparison)
         for policy in comparison.policies():
             per_policy_edp.setdefault(policy, []).append(
@@ -209,9 +207,7 @@ def fault_sweep(policy_factories: dict[str, callable],
                 power_model: PowerModel | None = None,
                 workers: int | None = None,
                 stats: CampaignStats | None = None,
-                guard_kwargs: dict | None = None,
-                fused: bool = False,
-                fuse_width: int = 8) -> FaultSweepResult:
+                guard_kwargs: dict | None = None) -> FaultSweepResult:
     """Sweep fault modes × rates over every policy.
 
     Each policy is wrapped per :func:`repro.faults.build_faulty_policy`
@@ -222,9 +218,7 @@ def fault_sweep(policy_factories: dict[str, callable],
     static baseline; ``slack`` absorbs the controller's honest noise
     floor so the statistic isolates fault-induced breakage.  Fault and
     guard counters are attributed per cell and also folded into
-    ``stats`` when given.  ``fused``/``fuse_width`` co-simulate each
-    cell's runs through the fused campaign engine (bit-identical; see
-    :func:`repro.evaluation.runner.compare_policies`).
+    ``stats`` when given.
     """
     if not modes or not rates:
         raise SimulationError("need at least one fault mode and one rate")
@@ -239,8 +233,7 @@ def fault_sweep(policy_factories: dict[str, callable],
                                   guard=guard, **(guard_kwargs or {}))
                 comparison = compare_policies(
                     {name: wrapped}, kernels, arch, preset, power_model,
-                    seed=seed, workers=workers, stats=cell_stats,
-                    fused=fused, fuse_width=fuse_width)
+                    seed=seed, workers=workers, stats=cell_stats)
                 runs = comparison.series(name)
                 violations = sum(1 for r in runs
                                  if r.normalized_latency > threshold)

@@ -15,11 +15,11 @@ import numpy as np
 from ..errors import SimulationError
 from ..gpu.arch import GPUArchConfig
 from ..gpu.fused import (FusedCampaignEngine, SharedContextCache,
-                         dump_shared, fuse_groups, release_shared)
+                         run_campaign)
 from ..gpu.interval_model import SolutionCache
 from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
-from ..parallel import CampaignCheckpoint, CampaignStats, parallel_map
+from ..parallel import CampaignCheckpoint, CampaignStats
 from ..power.model import PowerModel
 from ..core.policy import StaticPolicy
 from ..units import us
@@ -117,51 +117,26 @@ class ComparisonResult:
                          for r in payload["runs"]])
 
 
-def run_policy_on_kernel(policy, kernel: KernelProfile, arch: GPUArchConfig,
-                         power_model: PowerModel | None = None,
-                         seed: int = 0,
-                         epoch_s: float = us(10)) -> tuple[float, float, int]:
-    """Run one policy over one kernel; returns (time, energy, epochs)."""
-    simulator = GPUSimulator(arch, kernel, power_model or PowerModel(),
-                             seed=seed, epoch_s=epoch_s)
-    result = simulator.run(policy, keep_records=False)
-    return result.time_s, result.energy_j, result.epochs
-
-
-def _policy_task(task: tuple) -> tuple[float, float, int, dict[str, int]]:
-    """Process-pool unit of evaluation: one (policy, kernel) run.
-
-    Takes the *factory* rather than a policy instance so every run gets
-    a fresh policy, and builds its own simulator from the explicit seed
-    — identical results whether run in-process or in a worker.  The
-    policy's :meth:`observability_counters` (guard trips, injected
-    faults, calibration anomalies) travel back with the metrics so the
-    caller can fold them into campaign ``--stats``.
-    """
-    factory, kernel, arch, power_model, seed, epoch_s = task
-    policy = factory()
-    time_s, energy_j, epochs = run_policy_on_kernel(
-        policy, kernel, arch, power_model, seed=seed, epoch_s=epoch_s)
-    counters_fn = getattr(policy, "observability_counters", None)
-    counters = counters_fn() if callable(counters_fn) else {}
-    return time_s, energy_j, epochs, counters
-
-
 #: Per-process cache of shared evaluation contexts, so a pool worker
 #: attaches/unpickles each campaign's shared weights once, not per group.
 _EVAL_CONTEXTS = SharedContextCache()
 
 
-def _fused_eval_group(task: tuple) -> tuple[list, dict[str, int]]:
-    """Process-pool unit of a fused evaluation campaign: one task group.
+def _eval_group(task: tuple) -> tuple[list, dict[str, int]]:
+    """Campaign unit of evaluation: one group of (policy, kernel) runs.
 
     ``task`` is ``(context_ref, entries)`` where the context (policy
     factories, kernels, arch, power model — with model weights living
     in shared memory) is shipped once per campaign and each entry is a
-    small ``(factory_index, kernel_index, seed, epoch_s)`` tuple.  The
-    group's simulators share one :class:`SolutionCache` and advance in
-    lockstep through the fused engine.  Returns the serial-shaped per-task outcomes plus the
-    engine's ``fused_*`` counters.
+    small ``(factory_index, kernel_index, seed, epoch_s)`` tuple.  Every
+    run gets a fresh policy from its factory and its own simulator from
+    the explicit seed; the group's simulators share one
+    :class:`SolutionCache` and advance in lockstep through the fused
+    engine.  Returns one ``(time, energy, epochs, counters)`` outcome
+    per entry — the policy's :meth:`observability_counters` (guard
+    trips, injected faults, calibration anomalies) travel back so the
+    caller can fold them into campaign ``--stats`` — plus the engine's
+    ``fused_*`` counters.
     """
     ref, entries = task
     context = _EVAL_CONTEXTS.get(ref)
@@ -205,73 +180,50 @@ def compare_policies(policy_factories: dict[str, callable],
                      stats: CampaignStats | None = None,
                      checkpoint: CampaignCheckpoint | None = None,
                      retries: int = 2,
-                     timeout_s: float | None = None,
-                     fused: bool = False,
-                     fuse_width: int = 8) -> ComparisonResult:
+                     timeout_s: float | None = None) -> ComparisonResult:
     """Evaluate a set of policies over a kernel list.
 
     ``policy_factories`` maps display names to zero-argument callables
     producing a *fresh* policy (stateful policies like F-LEMMA must not
     be reused across runs).  A default-level static baseline is always
-    run for normalization.  ``workers`` fans the policy × kernel grid
-    out over a process pool (picklable factories — e.g.
-    ``functools.partial`` over module-level classes — required to
-    actually parallelise; anything else falls back to serial).  Policy
-    observability counters (``guard_*``, ``fault_*``,
-    ``calibration_anomalies``) are folded into ``stats``;
+    run for normalization.  The policy × kernel grid runs kernel-major
+    through :func:`~repro.gpu.fused.run_campaign`: groups of
+    :data:`~repro.gpu.fused.GROUP_WIDTH` runs co-simulate in lockstep
+    (one shared interval-solution cache and noise tracks per group,
+    batched counter builds and inference), with results bit-identical
+    to running each (policy, kernel) pair alone.  ``workers`` fans the
+    groups out over a process pool, with model weights shipped once via
+    shared memory; a factory that cannot be pickled (a lambda or
+    closure) runs in-process instead.  Policy observability counters
+    (``guard_*``, ``fault_*``, ``calibration_anomalies``) and the
+    engine's ``fused_*`` counters are folded into ``stats``;
     ``checkpoint``/``retries``/``timeout_s`` configure the resilient
-    fan-out (see :func:`repro.parallel.parallel_map`).
-
-    ``fused=True`` co-simulates consecutive runs of ``fuse_width``
-    tasks in lockstep through :class:`FusedCampaignEngine` — results
-    are bit-identical to the serial path (per-task RNG streams and
-    final-epoch truncation are preserved exactly) while sharing one
-    interval-solution cache per group, batching the counter build
-    across tasks and shipping model weights to worker processes once
-    via shared memory.
+    fan-out (see :func:`repro.parallel.parallel_map`).  A checkpoint
+    stores per-group results.
     """
     power_model = power_model or PowerModel()
     names = list(policy_factories)
-    baseline_factory = partial(StaticPolicy, arch.vf_table.default_level)
-    if fused:
-        factories = [baseline_factory] + [policy_factories[name]
-                                          for name in names]
-        entries = []
-        for kernel_index in range(len(kernels)):
-            for factory_index in range(len(factories)):
-                entries.append((factory_index, kernel_index, seed, epoch_s))
-        context = {"factories": factories, "kernels": list(kernels),
-                   "arch": arch, "power_model": power_model}
-        ref, block = dump_shared(context)
-        groups = fuse_groups(entries, fuse_width)
-        try:
-            group_results = parallel_map(
-                _fused_eval_group, [(ref, group) for group in groups],
-                workers=workers, stats=stats, stage="evaluation",
-                checkpoint=checkpoint, retries=retries, timeout_s=timeout_s)
-        finally:
-            release_shared(block)
-        outcomes = []
-        for group_outcomes, fused_counters in group_results:
-            outcomes.extend(group_outcomes)
-            if stats is not None:
-                stats.merge_counters(fused_counters)
-        if stats is not None:
-            stats.count("fused_groups", len(groups))
-            stats.count("fused_shared_bytes", ref.shared_bytes)
-    else:
-        tasks = []
-        for kernel in kernels:
-            tasks.append((baseline_factory, kernel, arch, power_model, seed,
-                          epoch_s))
-            for name in names:
-                tasks.append((policy_factories[name], kernel, arch,
-                              power_model, seed, epoch_s))
-        outcomes = parallel_map(_policy_task, tasks, workers=workers,
-                                stats=stats, stage="evaluation",
-                                checkpoint=checkpoint, retries=retries,
-                                timeout_s=timeout_s)
+    factories = ([partial(StaticPolicy, arch.vf_table.default_level)]
+                 + [policy_factories[name] for name in names])
+    entries = [(factory_index, kernel_index, seed, epoch_s)
+               for kernel_index in range(len(kernels))
+               for factory_index in range(len(factories))]
+    context = {"factories": factories, "kernels": list(kernels),
+               "arch": arch, "power_model": power_model}
+    outcomes = run_campaign(_eval_group, context, entries, stats=stats,
+                            stage="evaluation", workers=workers,
+                            checkpoint=checkpoint, retries=retries,
+                            timeout_s=timeout_s)
+    return comparison_from_outcomes(preset, kernels, names, outcomes, stats)
 
+
+def comparison_from_outcomes(preset: float, kernels: list[KernelProfile],
+                             names: list[str], outcomes: list[tuple],
+                             stats: CampaignStats | None = None
+                             ) -> ComparisonResult:
+    """Normalise kernel-major ``(time, energy, epochs, counters)`` run
+    outcomes — the baseline first, then ``names`` per kernel — against
+    each kernel's baseline; policy counters are folded into ``stats``."""
     result = ComparisonResult(preset=preset)
     cursor = iter(outcomes)
     for kernel in kernels:

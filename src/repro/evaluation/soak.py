@@ -213,13 +213,10 @@ def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
             raise SimulationError(
                 f"soak run exceeded {config.max_epochs} epochs on "
                 f"{kernel.name!r}")
-        record = simulator.step_epoch()
+        record = simulator.step_epoch(account)
         epochs += 1
         if record.all_finished:
-            time_s, energy_j = simulator.truncate_final_record(record)
-            account.add(energy_j, time_s)
             continue
-        account.add(record.energy_j, record.duration_s)
         if epochs == stale_epoch:
             # The chaos event: whichever pair is *currently* serving —
             # the original, or one already hot-swapped in — silently

@@ -1,19 +1,20 @@
 """Fused multi-campaign simulation engine.
 
-Campaign workloads (datagen grids, Fig. 4 policy comparisons, fleet
-phase-1 job simulation) are thousands of *independent* policy runs over
-near-identical simulators.  The serial path executes each run's epoch
-loop alone: every quantum pays one small counter-matrix build, one
-small power evaluation and one small model forward pass per task, and
-every task ships its own pickled copy of the model weights to its
-worker process.
+Campaign workloads (Fig. 4 policy comparisons and their seed/fault
+sweeps, fleet phase-1 job simulation) are thousands of *independent*
+policy runs over near-identical simulators.  Run one at a time, each
+run's epoch loop pays one small counter-matrix build, one small power
+evaluation and one small model forward pass per quantum, and each task
+ships its own pickled copy of the model weights to its worker process.
 
 :class:`FusedCampaignEngine` co-simulates N such tasks in lockstep
-instead.  Each quantum:
+instead, and :func:`run_campaign` is the one way every campaign runs
+its tasks: groups of :data:`GROUP_WIDTH` through the engine, fanned out
+over :func:`~repro.parallel.parallel_map`.  Each quantum:
 
 1. every live task's clusters advance one epoch through **one**
    :func:`~repro.gpu.quantum.run_epoch_batch` call (each cluster's
-   RNG/noise/cursor state evolves bit-for-bit as in the serial path),
+   RNG/noise/cursor state evolves bit-for-bit as in a solo run),
 2. all tasks' activity vectors are stacked into one
    ``(total_clusters, slots)`` matrix feeding **one** counter-matrix
    build, with per-task power evaluated on each task's row slice,
@@ -23,14 +24,14 @@ instead.  Each quantum:
    ``fused_commit`` hooks.
 
 Tasks that finish early are masked out of subsequent quanta (their
-final record receives the same truncation/energy-refund adjustment the
-serial run loop applies); heterogeneous epoch boundaries are handled by
+final record receives the same truncation/energy-refund adjustment as
+a solo run); heterogeneous epoch boundaries are handled by
 each task's own time/epoch cursor — the engine never assumes tasks are
 in the same epoch, only that they share the epoch *length*.
 
-Bit-identity with the serial path is a hard invariant, maintained by
-three rules established empirically against the BLAS kernels numpy
-dispatches to:
+Bit-identity with running each task alone (``simulator.run(policy)``)
+is a hard invariant, maintained by three rules established empirically
+against the BLAS kernels numpy dispatches to:
 
 * elementwise/rowwise stages (counter builds, scalers, activations,
   per-row argmax) are stacking-invariant — always safe to batch;
@@ -43,7 +44,7 @@ dispatches to:
   power (a per-class matvec) is evaluated per task slice, and a task
   joins a cross-task inference batch (pure GEMMs, which are row-stable
   for slices of >= 2 rows) only when it contributes >= 2 active rows —
-  otherwise it runs its own forward pass, exactly like the serial
+  otherwise it runs its own forward pass, exactly like a solo
   controller.
 
 The module also provides the shared-memory transport used to hand
@@ -65,9 +66,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import SimulationError
+from ..parallel import CampaignStats, parallel_map
 from ..power.energy import EnergyAccount
-from .cluster import A_BUSY_S, build_counters_matrix
-from .counters import COUNTER_INDEX, CounterSet
+from .cluster import build_counters_matrix
 from .quantum import run_epoch_batch
 from .simulator import EpochRecord, GPUSimulator, RunResult
 
@@ -76,6 +77,14 @@ try:  # pragma: no cover - always present on CPython >= 3.8
 except ImportError:  # pragma: no cover
     resource_tracker = None
     shared_memory = None
+
+#: Tasks co-simulated per engine group in every campaign: the unit of
+#: work a pool worker receives and a checkpoint stores.
+GROUP_WIDTH = 8
+
+#: Checkpoint-name tag of group-shaped campaign results, so a checkpoint
+#: holding per-task results is never resumed as group results.
+GROUP_TAG = f"fused{GROUP_WIDTH}"
 
 #: Arrays below this many bytes stay inline in the pickle payload —
 #: externalising them would cost more metadata than it saves.
@@ -238,7 +247,11 @@ class SharedContextCache:
         self.max_entries = int(max_entries)
         self._entries: dict[object, tuple] = {}
 
-    def get(self, ref: SharedObjectRef):
+    def get(self, ref):
+        """The context behind ``ref``; a live (unpicklable) context is
+        returned as is — it only ever runs in the process that built it."""
+        if not isinstance(ref, SharedObjectRef):
+            return ref
         key = ref.shm_name if ref.shm_name is not None else hash(ref.payload)
         entry = self._entries.get(key)
         if entry is None:
@@ -254,6 +267,53 @@ def fuse_groups(items: Sequence, width: int) -> list[list]:
     if width < 1:
         raise SimulationError("fuse width must be >= 1")
     return [list(items[i:i + width]) for i in range(0, len(items), width)]
+
+
+#: Ways pickling a campaign context fails when it holds a lambda or a
+#: closure (a factory that cannot travel to a worker process).
+_UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
+
+
+def run_campaign(group_fn: Callable[[tuple], tuple[list, dict[str, int]]],
+                 context: dict, entries: list, *,
+                 stats: CampaignStats | None = None, stage: str,
+                 **fan_out) -> list:
+    """Run a campaign's tasks in engine groups of :data:`GROUP_WIDTH`.
+
+    ``context`` (policy factories, kernels, arch, power model) ships to
+    the workers once via shared memory, and each pool task is
+    ``(context_ref, group)`` with ``group`` a slice of ``entries``.
+    ``group_fn`` returns ``(per-entry outcomes, engine counters)``; the
+    outcomes come back flattened in entry order and the counters, with
+    ``fused_groups``/``fused_shared_bytes``, land in ``stats``.
+    ``fan_out`` (workers, checkpoint, retries, timeout_s) passes
+    through to :func:`~repro.parallel.parallel_map`.
+
+    A context that cannot be pickled (a lambda or closure factory)
+    travels live inside each task instead: a pool cannot receive such
+    a task, so :func:`~repro.parallel.parallel_map` finishes every
+    group in-process, at any ``workers``.
+    """
+    stats = stats if stats is not None else CampaignStats()
+    groups = fuse_groups(entries, GROUP_WIDTH)
+    try:
+        ref, block = dump_shared(context)
+    except _UNPICKLABLE:
+        ref, block = context, None
+    try:
+        group_results = parallel_map(
+            group_fn, [(ref, group) for group in groups], stats=stats,
+            stage=stage, **fan_out)
+    finally:
+        release_shared(block)
+    outcomes = []
+    for group_outcomes, counters in group_results:
+        outcomes.extend(group_outcomes)
+        stats.merge_counters(counters)
+    stats.count("fused_groups", len(groups))
+    stats.count("fused_shared_bytes",
+                ref.shared_bytes if block is not None else 0)
+    return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -383,74 +443,30 @@ class FusedCampaignEngine:
             spans.append((task, start, len(all_clusters), sim.levels))
         batch_result = run_epoch_batch(all_clusters, epoch_s)
         activity_matrix = batch_result.matrix
-        durations = np.full(len(all_clusters), epoch_s, dtype=np.float64)
 
         # Phase 2: one stacked counter build over every live task's
         # clusters (all elementwise/rowwise — stacking-invariant), then
-        # per-task power on each task's row slice.  Power is *not*
-        # batched across tasks: its per-instruction-class energy is a
-        # matrix-vector product whose accumulation order (and thus
-        # final ULP) depends on the row count BLAS sees, so a
-        # cross-task batch would differ from the serial per-task call.
-        # The slice view is value-identical to the task's own stack, so
-        # the per-slice call reproduces the serial bits exactly.
+        # each task's record from its own row slice: power on the slice
+        # alone (see ``GPUSimulator.close_epoch``), and slice reductions
+        # of the stacked matrices, which are bit-identical to the
+        # standalone per-task reductions.  Finish masking is exactly the
+        # solo run loop's: truncate + account, or account + decide.
         counters_matrix = build_counters_matrix(activity_matrix, arch)
         self._count("fused_stacked_rows", activity_matrix.shape[0])
-        energy_by_span: list[np.ndarray] = []
-        for task, start, stop, levels in spans:
-            sim = task.simulator
-            dynamic_w, static_w, energy_j = (
-                sim.power_model.cluster_power_batch(
-                    activity_matrix[start:stop], durations[start:stop],
-                    sim._voltage_by_level[levels]))
-            sub = counters_matrix[start:stop]
-            sub[:, COUNTER_INDEX["power_per_core"]] = dynamic_w + static_w
-            sub[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
-            sub[:, COUNTER_INDEX["power_static"]] = static_w
-            sub[:, COUNTER_INDEX["energy_epoch"]] = energy_j
-            energy_by_span.append(energy_j)
-
-        # Phase 3: per-task record assembly from row slices (slice
-        # reductions of the stacked matrices are bit-identical to the
-        # standalone per-task reductions), then finish masking exactly
-        # as the serial run loop: truncate + account, or account +
-        # decide.
         pending: list[tuple[_FusedTask, EpochRecord]] = []
-        for span_index, (task, start, stop, levels) in enumerate(spans):
-            sim = task.simulator
-            sub = counters_matrix[start:stop]
-            uncore = sim.power_model.uncore_power(
-                None, epoch_s, matrix=activity_matrix[start:stop])
-            record = EpochRecord(
-                index=sim.epoch_index,
-                start_time_s=sim.time_s,
-                duration_s=epoch_s,
-                levels=levels,
-                counters=CounterSet.from_vector(sub.mean(axis=0)),
-                cluster_counters=[CounterSet.from_vector(row)
-                                  for row in sub],
-                instructions=sum(
-                    batch_result.instructions[start:stop].tolist()),
-                cluster_energy_j=float(energy_by_span[span_index].sum()),
-                uncore_energy_j=uncore.energy_j,
-                all_finished=all(batch_result.finished[start:stop].tolist()),
-                finish_time_s=max(
-                    activity_matrix[start:stop, A_BUSY_S].tolist(),
-                    default=0.0),
-            )
-            sim.time_s += epoch_s
-            sim.epoch_index += 1
+        for task, start, stop, levels in spans:
+            record = task.simulator.close_epoch(
+                levels, activity_matrix[start:stop],
+                counters_matrix[start:stop],
+                batch_result.instructions[start:stop],
+                batch_result.finished[start:stop], task.account)
             task.epochs += 1
-            if record.all_finished:
-                time_s, effective_energy = sim.truncate_final_record(record)
-                task.account.add(effective_energy, time_s)
-            else:
-                task.account.add(record.energy_j, record.duration_s)
-                pending.append((task, record))
             if task.keep_records:
                 task.records.append(record)
             if record.all_finished:
                 self._finalize(task)
+            else:
+                pending.append((task, record))
 
         self._decide(pending)
 
@@ -464,7 +480,7 @@ class FusedCampaignEngine:
         forward pass with per-row working presets; everything else
         (static/heuristic baselines, guarded or faulty wrappers, scalar
         controllers, single-active-row epochs) decides solo — the exact
-        serial code path.
+        solo code path.
         """
         batches: dict[tuple[int, int], list] = {}
         for task, record in pending:

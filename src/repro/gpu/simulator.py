@@ -243,82 +243,85 @@ class GPUSimulator:
     # ------------------------------------------------------------------
     # Epoch stepping
     # ------------------------------------------------------------------
-    def step_epoch(self) -> EpochRecord:
+    def step_epoch(self, account: EnergyAccount | None = None
+                   ) -> EpochRecord:
         """Run one DVFS epoch on every cluster and account power.
 
         All clusters advance through one :func:`~repro.gpu.quantum.
         run_epoch_batch` call; counter building and power accounting
         are vectorised over the clusters: one ``(clusters, slots)``
         activity matrix feeds one counter-matrix build and one batched
-        power evaluation.
+        power evaluation.  With ``account`` the epoch is also folded
+        into a run's energy account (see :meth:`close_epoch`).
         """
         if self.finished:
             raise SimulationError("cannot step a finished simulation")
         levels = self.levels
         result = run_epoch_batch(self.clusters, self.epoch_s,
                                  matrix_out=self._activity_buf)
-        activity_matrix = result.matrix
-        counters_matrix = build_counters_matrix(activity_matrix, self.arch)
-        dynamic_w, static_w, energy_j = self.power_model.cluster_power_batch(
-            activity_matrix, self._durations, self._voltage_by_level[levels])
-        counters_matrix[:, COUNTER_INDEX["power_per_core"]] = (dynamic_w
-                                                               + static_w)
-        counters_matrix[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
-        counters_matrix[:, COUNTER_INDEX["power_static"]] = static_w
-        counters_matrix[:, COUNTER_INDEX["energy_epoch"]] = energy_j
-        cluster_counters = [CounterSet.from_vector(row)
-                            for row in counters_matrix]
-        cluster_energy = float(energy_j.sum())
-        uncore = self.power_model.uncore_power(None, self.epoch_s,
-                                               matrix=activity_matrix)
+        activity = result.matrix
+        return self.close_epoch(levels, activity,
+                                build_counters_matrix(activity, self.arch),
+                                result.instructions, result.finished,
+                                account)
 
+    def close_epoch(self, levels: list[int], activity: np.ndarray,
+                    counters: np.ndarray, instructions: np.ndarray,
+                    finished: np.ndarray,
+                    account: EnergyAccount | None = None) -> EpochRecord:
+        """Turn this simulator's rows of an epoch batch into its record.
+
+        ``activity``/``counters``/``instructions``/``finished`` are the
+        simulator's own row slice of a :func:`~repro.gpu.quantum.
+        run_epoch_batch` result and its counter matrix (the whole batch
+        for :meth:`step_epoch`, one task's slice for the fused campaign
+        engine).  Power is evaluated on the slice alone and written into
+        the four power columns of ``counters``: its per-class energy is
+        a matrix-vector product whose rounding depends on the row count
+        BLAS sees, so it must never run over a cross-task stack.  The
+        clock advances one epoch.  With ``account`` the epoch is folded
+        into a run's energy account exactly as :meth:`run` does: a
+        run-ending record is first truncated to the drain point.
+        """
+        dynamic_w, static_w, energy_j = self.power_model.cluster_power_batch(
+            activity, self._durations, self._voltage_by_level[levels])
+        counters[:, COUNTER_INDEX["power_per_core"]] = dynamic_w + static_w
+        counters[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
+        counters[:, COUNTER_INDEX["power_static"]] = static_w
+        counters[:, COUNTER_INDEX["energy_epoch"]] = energy_j
+        uncore = self.power_model.uncore_power(None, self.epoch_s,
+                                               matrix=activity)
         record = EpochRecord(
             index=self.epoch_index,
             start_time_s=self.time_s,
             duration_s=self.epoch_s,
             levels=levels,
-            counters=CounterSet.from_vector(counters_matrix.mean(axis=0)),
-            cluster_counters=cluster_counters,
-            instructions=sum(result.instructions.tolist()),
-            cluster_energy_j=cluster_energy,
+            counters=CounterSet.from_vector(counters.mean(axis=0)),
+            cluster_counters=[CounterSet.from_vector(row)
+                              for row in counters],
+            instructions=sum(instructions.tolist()),
+            cluster_energy_j=float(energy_j.sum()),
             uncore_energy_j=uncore.energy_j,
-            all_finished=all(result.finished.tolist()),
-            finish_time_s=max(activity_matrix[:, A_BUSY_S].tolist(),
-                              default=0.0),
+            all_finished=all(finished.tolist()),
+            finish_time_s=max(activity[:, A_BUSY_S].tolist(), default=0.0),
         )
         self.time_s += self.epoch_s
         self.epoch_index += 1
+        if account is not None:
+            if record.all_finished:
+                self.truncate_final_record(record)
+            account.add(record.energy_j, record.duration_s)
         return record
-
-    def _final_epoch_adjustment(self, record: EpochRecord) -> tuple[float, float]:
-        """Effective (time, energy) of a run-ending epoch.
-
-        Clusters finish mid-epoch; the program is done once the last
-        busy cluster drains, so the idle tail's static/clock power is
-        refunded and time is truncated to the drain point.  This is the
-        non-mutating variant; :meth:`truncate_final_record` additionally
-        rewrites the record so stored records stay consistent with the
-        energy account.
-        """
-        effective_time = min(record.duration_s, max(record.finish_time_s, 1e-12))
-        unused = record.duration_s - effective_time
-        static_total = sum(c["power_static"] for c in record.cluster_counters)
-        static_total += self.power_model.config.uncore_static_w
-        refund = unused * static_total
-        effective_energy = max(0.0, record.energy_j - refund)
-        return effective_time, effective_energy
 
     def truncate_final_record(self, record: EpochRecord
                               ) -> tuple[float, float]:
         """Truncate a run-ending record *in place* to the drain point.
 
-        Historically only the energy account was adjusted while the
-        record kept its full ``duration_s``, so ``RunResult.time_s``
-        disagreed with the summed record durations by up to one epoch.
-        Mutating the record keeps the two views consistent: the idle
-        tail's time is cut and its static/clock energy refunded per
-        component (cluster vs uncore), mirroring
-        :meth:`_final_epoch_adjustment`'s totals.
+        Clusters finish mid-epoch; the program is done once the last
+        busy cluster drains, so the idle tail's time is cut and its
+        static/clock energy refunded per component (cluster vs uncore).
+        Mutating the record keeps ``RunResult.time_s`` equal to the
+        summed record durations.  Returns the effective (time, energy).
         """
         effective_time = min(record.duration_s,
                              max(record.finish_time_s, 1e-12))
@@ -352,15 +355,10 @@ class GPUSimulator:
                     f"run exceeded {max_epochs} epochs; kernel "
                     f"{self.workload_name!r} may be too long for this budget"
                 )
-            record = self.step_epoch()
+            record = self.step_epoch(account)
             epochs += 1
-            if record.all_finished:
-                time_s, energy_j = self.truncate_final_record(record)
-                account.add(energy_j, time_s)
-            else:
-                account.add(record.energy_j, record.duration_s)
-                decision = policy.decide(record)
-                self.apply_decision(decision)
+            if not record.all_finished:
+                self.apply_decision(policy.decide(record))
             if keep_records:
                 records.append(record)
         return RunResult(

@@ -18,12 +18,24 @@ be bit-identical to the plain algorithms below:
   window, then a tail at the default point until the workload mark,
   one operating point after another.
 
+Campaigns (:func:`repro.evaluation.runner.compare_policies` and fleet
+phase 1) co-simulate their tasks in lockstep groups through
+:class:`~repro.gpu.fused.FusedCampaignEngine`.  Their reference is each
+task alone through :meth:`GPUSimulator.run`:
+
+* :func:`policy_task` — one (policy, kernel) run from a fresh policy
+  and a fresh simulator, the unit :func:`compare_policies` maps either
+  serially or over a process pool;
+* :func:`simulate_jobs` — every job of a fleet phase 1, one at a time.
+
 ``memo`` is an optional plain dict memoising ``(solution, step
 vector)`` per exact solve input.  Without it every quantum re-solves,
 which makes the oracle independent of any caching.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -45,8 +57,12 @@ from repro.gpu.interval_model import (ThroughputSolution,
                                       phase_solve_key_cached,
                                       solve_throughput)
 from repro.gpu.phases import INSTRUCTION_CLASSES
+from repro.core.policy import StaticPolicy
+from repro.evaluation.runner import ComparisonResult, comparison_from_outcomes
 from repro.gpu.simulator import EpochRecord, GPUSimulator
+from repro.parallel import derive_seed, parallel_map
 from repro.power.model import PowerModel
+from repro.units import us
 
 
 def step_vector_for(arch, phase, solution: ThroughputSolution) -> np.ndarray:
@@ -358,3 +374,62 @@ def generate_for_kernel(kernel, arch, power_model: PowerModel | None = None,
         breakpoints.append(
             collect_breakpoint(simulator, len(breakpoints), config, memo))
     return breakpoints
+
+
+def _run_alone(factory, kernel, arch, power_model, seed, epoch_s,
+               keep_records):
+    """A fresh policy over a fresh simulator; returns the run result and
+    the policy's observability counters."""
+    policy = factory()
+    simulator = GPUSimulator(arch, kernel, power_model, seed=seed,
+                             epoch_s=epoch_s)
+    result = simulator.run(policy, keep_records=keep_records)
+    counters_fn = getattr(policy, "observability_counters", None)
+    return result, (counters_fn() if callable(counters_fn) else {})
+
+
+def policy_task(task: tuple) -> tuple[float, float, int, dict[str, int]]:
+    """One (policy, kernel) run alone: ``(time, energy, epochs,
+    counters)`` from ``(factory, kernel, arch, power_model, seed,
+    epoch_s)``.  Module-level, so a process pool can receive it."""
+    result, counters = _run_alone(*task, keep_records=False)
+    return result.time_s, result.energy_j, result.epochs, counters
+
+
+def compare_policies(policy_factories: dict, kernels, arch, preset: float,
+                     power_model: PowerModel | None = None, seed: int = 0,
+                     epoch_s: float = us(10), workers: int | None = None,
+                     stats=None) -> ComparisonResult:
+    """Per-task twin of :func:`repro.evaluation.runner.compare_policies`:
+    the same kernel-major grid, each run alone via :func:`policy_task`,
+    mapped serially or (``workers`` > 1) over a process pool.  Policy
+    counters are folded into ``stats``."""
+    power_model = power_model or PowerModel()
+    names = list(policy_factories)
+    factories = ([partial(StaticPolicy, arch.vf_table.default_level)]
+                 + [policy_factories[name] for name in names])
+    tasks = [(factory, kernel, arch, power_model, seed, epoch_s)
+             for kernel in kernels for factory in factories]
+    outcomes = parallel_map(policy_task, tasks, workers=workers)
+    return comparison_from_outcomes(preset, kernels, names, outcomes, stats)
+
+
+def simulate_jobs(scheduler, jobs) -> list[tuple]:
+    """Per-job twin of ``ClusterScheduler._simulate``: each job alone
+    under a fresh controller, from its derived seed; returns
+    ``(service_s, energy_j, epochs, mean_level, counters)`` per job."""
+    outcomes = []
+    for job in jobs:
+        result, counters = _run_alone(
+            scheduler.factory, job.kernel, scheduler.arch,
+            scheduler.power_model,
+            derive_seed(scheduler.seed, "fleet-job", job.job_id),
+            scheduler.epoch_s, keep_records=True)
+        if result.records:
+            mean_level = float(np.mean([np.mean(r.levels)
+                                        for r in result.records]))
+        else:
+            mean_level = float(scheduler.arch.vf_table.default_level)
+        outcomes.append((result.time_s, result.energy_j, result.epochs,
+                         mean_level, counters))
+    return outcomes

@@ -1,12 +1,14 @@
 """Fused campaign engine: bit-identity, masking, transport, resume.
 
-The fused engine's contract is *byte*-identity with the serial path —
-every test here compares pickled record streams or exported JSON, not
-approximate metrics.  Coverage spans the engine itself (lockstep
-records, early-finish masking, mid-campaign pickling), the batched
-policy surfaces (SSMDVFS, heuristic baselines, faulty/guarded
-wrappers), the shared-memory transport, and the three campaign layers
-that fuse (evaluation grids, datagen, fleet phase 1).
+The fused engine's contract is *byte*-identity with running each task
+alone through ``GPUSimulator.run`` (the per-task reference in
+``tests/reference/oracle.py``) — every test here compares pickled
+record streams or exported JSON, not approximate metrics.  Coverage
+spans the engine itself (lockstep records, early-finish masking,
+mid-campaign pickling), every Fig. 4 and fleet policy kind (batched
+SSMDVFS inference, solo heuristic/guarded/faulty decisions), the
+shared-memory transport, and the two campaign layers that run through
+it (evaluation grids with their checkpoints, fleet phase 1).
 """
 
 import functools
@@ -17,30 +19,32 @@ import numpy as np
 import pytest
 
 from repro.baselines.flemma import FLEMMAPolicy
+from repro.baselines.governor import UtilizationGovernor
 from repro.baselines.pcstall import PCSTALLPolicy
 from repro.cli import PAPER_FEATURES
 from repro.core.combined import SSMDVFSModel
 from repro.core.controller import SSMDVFSController
-from repro.core.policy import StaticPolicy
-from repro.datagen.dataset import DVFSDataset
+from repro.core.policy import ModelOraclePolicy, StaticPolicy
 from repro.datagen.features import FeatureExtractor, FeatureScaler
-from repro.datagen.protocol import ProtocolConfig, generate_chunks_for_suite
 from repro.errors import SimulationError
-from repro.evaluation.cache import cached_comparison
+from repro.evaluation.cache import cached_comparison, comparison_cache_key
 from repro.evaluation.runner import compare_policies
 from repro.faults import build_faulty_policy, config_for_mode
-from repro.fleet import ClusterScheduler, TraceConfig, build_trace
+from repro.fleet import (ClusterScheduler, TraceConfig, build_trace,
+                         policy_factory)
 from repro.gpu.arch import small_test_config
-from repro.gpu.fused import (FusedCampaignEngine, SharedContextCache,
-                             SharedObjectRef, dump_shared, fuse_groups,
-                             load_shared, release_shared, run_fused)
+from repro.gpu.fused import (GROUP_TAG, GROUP_WIDTH, FusedCampaignEngine,
+                             SharedContextCache, SharedObjectRef,
+                             dump_shared, fuse_groups, load_shared,
+                             release_shared, run_fused)
 from repro.gpu.counters import COUNTER_NAMES, CounterSet
 from repro.gpu.interval_model import SolutionCache
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase, compute_phase, memory_phase
 from repro.gpu.simulator import GPUSimulator
 from repro.nn.mlp import MLP
-from repro.parallel import CampaignStats
+from repro.parallel import CampaignCheckpoint, CampaignStats
+from tests.reference import oracle
 
 
 def _kernels():
@@ -312,107 +316,183 @@ def test_shared_ref_is_picklable(model):
 
 
 # ---------------------------------------------------------------------------
-# Campaign layers: evaluation grid, datagen, fleet
+# Campaign layers: evaluation grid and fleet phase 1 vs each task alone
 # ---------------------------------------------------------------------------
 
 def _grid_payload(result):
-    return [(r.policy_name, r.kernel_name, r.time_s, r.energy_j,
-             r.normalized_edp, r.normalized_latency, r.epochs)
-            for r in result.runs]
+    return json.dumps(result.to_payload())
 
 
-def test_compare_policies_fused_identical_across_widths(arch, model):
+#: Every Fig. 4 and fleet policy kind, as a picklable factory per preset.
+_POLICY_KINDS = {
+    "baseline": lambda arch, model, preset: functools.partial(
+        StaticPolicy, arch.vf_table.default_level),
+    "pcstall": lambda arch, model, preset: functools.partial(
+        PCSTALLPolicy, preset),
+    "flemma": lambda arch, model, preset: functools.partial(
+        FLEMMAPolicy, preset, seed=1),
+    "oracle": lambda arch, model, preset: functools.partial(
+        ModelOraclePolicy, preset),
+    "governor": lambda arch, model, preset: UtilizationGovernor,
+    "ssmdvfs": lambda arch, model, preset: functools.partial(
+        SSMDVFSController, model, preset),
+    "ssmdvfs-nocal": lambda arch, model, preset: functools.partial(
+        SSMDVFSController, model, preset, use_calibrator=False),
+    "ssmdvfs-chipwide": lambda arch, model, preset: policy_factory(
+        "ssmdvfs-chipwide", preset=preset, model=model),
+    "ssmdvfs-guarded": lambda arch, model, preset: policy_factory(
+        "ssmdvfs-guarded", preset=preset, model=model),
+    "faulty": lambda arch, model, preset: functools.partial(
+        build_faulty_policy,
+        functools.partial(SSMDVFSController, model, preset),
+        config_for_mode("dropout", 0.3, seed=2)),
+}
+
+#: Three presets x three kernels, plus the baseline: 12 runs, so the
+#: grid fills one group of GROUP_WIDTH and leaves a partial last group.
+_GRID_PRESETS = (0.05, 0.10, 0.20)
+
+
+def _grid_kernels():
+    return _kernels() + [_short_kernel()]
+
+
+def _policy_counters(stats):
+    return {name: value for name, value in stats.counters.items()
+            if name.startswith(("fault_", "guard_"))
+            or name == "calibration_anomalies"}
+
+
+@pytest.mark.parametrize("kind", sorted(_POLICY_KINDS))
+def test_compare_policies_matches_oracle(arch, model, kind):
+    """Every policy kind's grid equals each run alone, byte for byte,
+    across a full group and a partial last group."""
+    factories = {f"{kind}-{preset:g}": _POLICY_KINDS[kind](arch, model,
+                                                           preset)
+                 for preset in _GRID_PRESETS}
+    kernels = _grid_kernels()
+    tasks = (len(factories) + 1) * len(kernels)
+    assert tasks % GROUP_WIDTH and tasks > GROUP_WIDTH
+    stats = CampaignStats()
+    grouped = compare_policies(factories, kernels, arch, preset=0.10,
+                               seed=1, stats=stats)
+    alone_stats = CampaignStats()
+    alone = oracle.compare_policies(factories, kernels, arch, preset=0.10,
+                                    seed=1, stats=alone_stats)
+    assert _grid_payload(grouped) == _grid_payload(alone)
+    assert _policy_counters(stats) == _policy_counters(alone_stats)
+    if kind in ("ssmdvfs-guarded", "faulty"):
+        assert _policy_counters(stats)
+    assert stats.counter("fused_tasks") == tasks
+    assert stats.counter("fused_groups") == -(-tasks // GROUP_WIDTH)
+    assert stats.counter("fused_noise_shared") > 0
+    if kind in ("ssmdvfs", "ssmdvfs-nocal"):
+        # Same-model per-cluster controllers share one forward pass per
+        # quantum; every other kind decides solo.
+        assert stats.counter("fused_inference_groups") > 0
+    else:
+        assert stats.counter("fused_inference_groups") == 0
+        assert stats.counter("fused_solo_decisions") > 0
+
+
+def test_compare_policies_lambda_factories_at_workers_2(arch, model):
+    """Unpicklable factories cannot reach a pool worker: the groups
+    carry the live context and run in-process, matching the oracle."""
     factories = {
-        "pcstall": functools.partial(PCSTALLPolicy, 0.10),
-        "ssmdvfs": functools.partial(SSMDVFSController, model, 0.10),
+        "ssmdvfs": lambda: SSMDVFSController(model, 0.10),
+        "pcstall": lambda: PCSTALLPolicy(0.10),
+        "flemma": lambda: FLEMMAPolicy(0.10),
     }
-    kernels = _kernels()
-    serial = _grid_payload(compare_policies(factories, kernels, arch,
-                                            preset=0.10, seed=1))
-    for width in (1, 4, 32):
-        stats = CampaignStats()
-        fused = compare_policies(factories, kernels, arch, preset=0.10,
-                                 seed=1, stats=stats, fused=True,
-                                 fuse_width=width)
-        assert _grid_payload(fused) == serial, f"width {width} diverged"
-        assert stats.counters["fused_tasks"] == \
-            (len(factories) + 1) * len(kernels)
-    # Wide groups actually batch inference and share noise tracks.
-    assert stats.counters["fused_inference_groups"] > 0
-    assert stats.counters["fused_noise_shared"] > 0
+    kernels = _grid_kernels()
+    stats = CampaignStats()
+    grouped = compare_policies(factories, kernels, arch, preset=0.10,
+                               seed=3, workers=2, stats=stats)
+    alone = oracle.compare_policies(factories, kernels, arch, preset=0.10,
+                                    seed=3)
+    assert _grid_payload(grouped) == _grid_payload(alone)
+    assert stats.counter("fused_tasks") == 4 * len(kernels)
+    assert stats.counter("fused_shared_bytes") == 0
+    assert stats.counter("parallel_fallbacks") == 1
 
 
-def test_cached_comparison_fused_namespaces_checkpoint(tmp_path, arch, model,
-                                                       monkeypatch):
-    """Fused/serial share the result cache but not checkpoint files."""
-    import repro.evaluation.cache as evaluation_cache
-    ckpt_paths: list = []
-    real_ckpt = evaluation_cache.CampaignCheckpoint
-
-    def recording_ckpt(path, **kwargs):
-        ckpt_paths.append(str(path))
-        return real_ckpt(path, **kwargs)
-
-    monkeypatch.setattr(evaluation_cache, "CampaignCheckpoint",
-                        recording_ckpt)
-    factories = {"ssmdvfs": functools.partial(SSMDVFSController, model, 0.10)}
-    kernels = _kernels()[:1]
-    serial_stats = CampaignStats()
-    serial = cached_comparison(tmp_path, factories, kernels, arch, 0.10,
-                               seed=2, stats=serial_stats, checkpoint=True)
-    fused_stats = CampaignStats()
-    fused = cached_comparison(tmp_path, factories, kernels, arch, 0.10,
-                              seed=2, stats=fused_stats, checkpoint=True,
-                              fused=True, fuse_width=4, use_cache=False)
-    assert _grid_payload(fused) == _grid_payload(serial)
-    # Fused checkpoints store per-group results, serial per-task: the
-    # two runs must never resume from each other's files.
-    assert len(ckpt_paths) == 2
-    assert ckpt_paths[0] != ckpt_paths[1]
-    assert ".fused4" in ckpt_paths[1]
-    # Results are bit-identical, so the grid artefact itself is shared:
-    # a fused re-run with the cache on is a pure cache hit.
-    hit_stats = CampaignStats()
-    again = cached_comparison(tmp_path, factories, kernels, arch, 0.10,
-                              seed=2, stats=hit_stats, fused=True,
-                              fuse_width=4)
-    assert _grid_payload(again) == _grid_payload(serial)
-    assert hit_stats.counters["comparison_cache_hit"] == 1
+def test_cached_comparison_never_resumes_per_task_checkpoint(tmp_path, arch,
+                                                             model):
+    """A per-run checkpoint under the untagged grid name and key (the
+    shape a per-task grid wrote) is never resumed as group results."""
+    factories = {"ssmdvfs": functools.partial(SSMDVFSController, model,
+                                              0.10)}
+    kernels = _grid_kernels()
+    key = comparison_cache_key(list(factories), kernels, arch, 0.10, seed=2)
+    planted = tmp_path / f"grid-{key}.ckpt"
+    # One bogus (time, energy, epochs, counters) outcome per run.
+    CampaignCheckpoint(planted, key=key).save(
+        {index: (1.0, 1.0, 1, {}) for index in range(2 * len(kernels))})
+    stats = CampaignStats()
+    result = cached_comparison(tmp_path, factories, kernels, arch, 0.10,
+                               seed=2, stats=stats, checkpoint=True)
+    alone = oracle.compare_policies(factories, kernels, arch, preset=0.10,
+                                    seed=2)
+    assert _grid_payload(result) == _grid_payload(alone)
+    assert stats.counter("campaign_tasks_resumed") == 0
+    # The group checkpoint lives under its own tagged name (and is
+    # cleared on completion); the planted file is left alone.
+    assert stats.counter("campaign_checkpoint_saves") > 0
+    assert not (tmp_path / f"grid-{key}.{GROUP_TAG}.ckpt").exists()
+    assert planted.exists()
 
 
-def test_datagen_fused_identical(arch):
-    config = ProtocolConfig(max_breakpoints_per_kernel=2, seed=3)
-    kernels = _kernels()
-    serial = generate_chunks_for_suite(kernels, arch, config=config)
-    for width in (1, 2):
-        stats = CampaignStats()
-        fused = generate_chunks_for_suite(kernels, arch, config=config,
-                                          fused=True, fuse_width=width,
-                                          stats=stats)
-        assert pickle.dumps(fused) == pickle.dumps(serial)
-        assert stats.counters["fused_tasks"] == len(kernels)
-    serial_set = DVFSDataset.from_breakpoint_chunks(serial)
-    fused_set = DVFSDataset.from_breakpoint_chunks(fused)
-    assert np.array_equal(serial_set.counters, fused_set.counters)
-    assert np.array_equal(serial_set.sample_loss, fused_set.sample_loss)
+def test_cached_comparison_resumes_group_checkpoint(tmp_path, arch, model):
+    """A run interrupted after its first group resumes from the tagged
+    group checkpoint, and the grid is unchanged."""
+    def factories(interrupt_after=None):
+        calls = []
+
+        def build(preset):
+            calls.append(preset)
+            if interrupt_after is not None and len(calls) > interrupt_after:
+                raise RuntimeError("interrupted")
+            return SSMDVFSController(model, preset)
+        return {f"ssmdvfs-{preset:g}": functools.partial(build, preset)
+                for preset in _GRID_PRESETS}
+
+    kernels = _grid_kernels()
+    # The first group holds two kernels' runs: baseline + 3 presets each.
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cached_comparison(tmp_path, factories(interrupt_after=6), kernels,
+                          arch, 0.10, seed=2, checkpoint=True)
+    stats = CampaignStats()
+    resumed = cached_comparison(tmp_path, factories(), kernels, arch, 0.10,
+                                seed=2, stats=stats, checkpoint=True)
+    assert stats.counter("campaign_tasks_resumed") == 1
+    alone = oracle.compare_policies(factories(), kernels, arch, preset=0.10,
+                                    seed=2)
+    assert _grid_payload(resumed) == _grid_payload(alone)
 
 
-def test_fleet_fused_export_identical(tmp_path, arch, model):
-    trace = build_trace(arch, TraceConfig(trace="steady", jobs=8, nodes=2,
+def test_fleet_phase1_and_export_match_oracle(tmp_path, arch, model):
+    """Fleet phase 1 equals each job alone; so does the exported fleet."""
+    trace = build_trace(arch, TraceConfig(trace="steady", jobs=12, nodes=2,
                                           seed=4))
     factory = functools.partial(SSMDVFSController, model, 0.10)
 
-    def run_fleet(fused):
-        stats = CampaignStats()
-        scheduler = ClusterScheduler(arch, factory, num_nodes=2,
-                                     policy_name="ssmdvfs", seed=4,
-                                     stats=stats, fused=fused, fuse_width=4)
-        result = scheduler.run(trace, trace_name="fused-test")
-        path = tmp_path / f"fleet-{fused}.json"
-        result.export_json(path)
-        return path.read_bytes(), stats
+    def scheduler(stats):
+        return ClusterScheduler(arch, factory, num_nodes=2,
+                                policy_name="ssmdvfs", seed=4, stats=stats)
 
-    serial_bytes, _ = run_fleet(False)
-    fused_bytes, stats = run_fleet(True)
-    assert fused_bytes == serial_bytes
-    assert stats.counters["fused_tasks"] == 8
+    jobs = sorted(trace, key=lambda j: (j.arrival_s, j.job_id))
+    stats = CampaignStats()
+    grouped = scheduler(stats)._simulate(jobs)
+    alone = oracle.simulate_jobs(scheduler(CampaignStats()), jobs)
+    assert pickle.dumps(grouped) == pickle.dumps(alone)
+    assert stats.counter("fused_tasks") == len(jobs)
+    assert stats.counter("fused_groups") == 2
+
+    def export(alone_phase1):
+        fleet = scheduler(CampaignStats())
+        if alone_phase1:
+            fleet._simulate = functools.partial(oracle.simulate_jobs, fleet)
+        path = tmp_path / f"fleet-{alone_phase1}.json"
+        fleet.run(trace, trace_name="fused-test").export_json(path)
+        return path.read_bytes()
+
+    assert export(False) == export(True)
