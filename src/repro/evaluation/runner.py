@@ -14,8 +14,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..gpu.arch import GPUArchConfig
-from ..gpu.fused import (FusedCampaignEngine, SharedContextCache,
-                         run_campaign)
+from ..gpu.fused import FusedCampaignEngine, run_campaign
 from ..gpu.interval_model import SolutionCache
 from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
@@ -117,18 +116,13 @@ class ComparisonResult:
                          for r in payload["runs"]])
 
 
-#: Per-process cache of shared evaluation contexts, so a pool worker
-#: attaches/unpickles each campaign's shared weights once, not per group.
-_EVAL_CONTEXTS = SharedContextCache()
-
-
 def _eval_group(task: tuple) -> tuple[list, dict[str, int]]:
     """Campaign unit of evaluation: one group of (policy, kernel) runs.
 
-    ``task`` is ``(context_ref, entries)`` where the context (policy
-    factories, kernels, arch, power model — with model weights living
-    in shared memory) is shipped once per campaign and each entry is a
-    small ``(factory_index, kernel_index, seed, epoch_s)`` tuple.  Every
+    ``task`` is ``(context, entries)`` where the context (policy
+    factories, kernels, arch, power model) is shared by every group of
+    the campaign and each entry is a small
+    ``(factory_index, kernel_index, seed, epoch_s)`` tuple.  Every
     run gets a fresh policy from its factory and its own simulator from
     the explicit seed; the group's simulators share one
     :class:`SolutionCache` and advance in lockstep through the fused
@@ -138,8 +132,7 @@ def _eval_group(task: tuple) -> tuple[list, dict[str, int]]:
     caller can fold them into campaign ``--stats`` — plus the engine's
     ``fused_*`` counters.
     """
-    ref, entries = task
-    context = _EVAL_CONTEXTS.get(ref)
+    context, entries = task
     factories = context["factories"]
     kernels = context["kernels"]
     shared_cache = SolutionCache()
@@ -191,10 +184,11 @@ def compare_policies(policy_factories: dict[str, callable],
     :data:`~repro.gpu.fused.GROUP_WIDTH` runs co-simulate in lockstep
     (one shared interval-solution cache and noise tracks per group,
     batched counter builds and inference), with results bit-identical
-    to running each (policy, kernel) pair alone.  ``workers`` fans the
-    groups out over a process pool, with model weights shipped once via
-    shared memory; a factory that cannot be pickled (a lambda or
-    closure) runs in-process instead.  Policy observability counters
+    to running each (policy, kernel) pair alone.  Serially the groups
+    run on the caller's own factories; ``workers`` fans them out over a
+    process pool, with the model pickled once per submitted chunk, and
+    a factory that cannot be pickled (a lambda or closure) runs
+    in-process instead.  Policy observability counters
     (``guard_*``, ``fault_*``, ``calibration_anomalies``) and the
     engine's ``fused_*`` counters are folded into ``stats``;
     ``checkpoint``/``retries``/``timeout_s`` configure the resilient

@@ -66,8 +66,7 @@ from ..core.policy import ModelOraclePolicy, StaticPolicy
 from ..errors import FleetError, FleetFaultError
 from ..faults import NodeFaultPlan
 from ..gpu.arch import GPUArchConfig
-from ..gpu.fused import (FusedCampaignEngine, SharedContextCache,
-                         run_campaign)
+from ..gpu.fused import FusedCampaignEngine, run_campaign
 from ..gpu.interval_model import SolutionCache
 from ..gpu.simulator import DEFAULT_EPOCH_S, GPUSimulator
 from ..parallel import CampaignCheckpoint, CampaignStats, derive_seed
@@ -118,18 +117,13 @@ def policy_factory(name: str, *, preset: float = 0.10, model=None,
                      f"expected one of {FLEET_POLICIES}")
 
 
-#: Per-process cache of shared fleet contexts, so a pool worker
-#: attaches/unpickles each campaign's shared weights once, not per group.
-_FLEET_CONTEXTS = SharedContextCache()
-
-
 def _simulate_group(task: tuple) -> tuple[list[tuple], dict[str, int]]:
     """Campaign unit of fleet phase 1: one group of jobs.
 
-    ``task`` is ``(context_ref, entries)`` where the context (policy
-    factory, deduplicated kernel list, arch, power model, epoch length
-    — model weights in shared memory) ships once per campaign and each
-    entry is a small ``(kernel_index, seed)`` pair.  Each job runs its
+    ``task`` is ``(context, entries)`` where the context (policy
+    factory, deduplicated kernel list, arch, power model, epoch length)
+    is shared by every group of the campaign and each entry is a small
+    ``(kernel_index, seed)`` pair.  Each job runs its
     kernel under a fresh controller; the group's jobs co-simulate in
     lockstep through :class:`FusedCampaignEngine`, sharing one
     interval-solution cache, bit-identical to running each job alone.
@@ -138,8 +132,7 @@ def _simulate_group(task: tuple) -> tuple[list[tuple], dict[str, int]]:
     frequency state, and the policy's observability counters travel
     back for ``--stats``.
     """
-    ref, entries = task
-    context = _FLEET_CONTEXTS.get(ref)
+    context, entries = task
     factory = context["factory"]
     kernels = context["kernels"]
     shared_cache = SolutionCache()
@@ -277,7 +270,9 @@ class ClusterScheduler:
         :func:`~repro.gpu.fused.run_campaign`, each from its own derived
         seed; outcomes are bit-identical to running each job alone, so
         the phase-2 replay and the exported fleet result do not depend
-        on the grouping.  A checkpoint stores per-group results.
+        on the grouping.  Serially the groups run on this scheduler's
+        own factory; a pool receives the context pickled once per
+        submitted chunk.  A checkpoint stores per-group results.
         """
         kernels: list = []
         kernel_index: dict[int, int] = {}

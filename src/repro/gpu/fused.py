@@ -46,20 +46,10 @@ against the BLAS kernels numpy dispatches to:
   for slices of >= 2 rows) only when it contributes >= 2 active rows —
   otherwise it runs its own forward pass, exactly like a solo
   controller.
-
-The module also provides the shared-memory transport used to hand
-read-only model weights and campaign contexts to worker processes
-once per campaign instead of pickling them per task:
-:func:`dump_shared` externalises an object graph's numpy arrays into a
-single ``multiprocessing.shared_memory`` block, and
-:func:`load_shared` / :class:`SharedContextCache` reattach them as
-read-only views on the worker side.
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -72,12 +62,6 @@ from .cluster import build_counters_matrix
 from .quantum import run_epoch_batch
 from .simulator import EpochRecord, GPUSimulator, RunResult
 
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover
-    resource_tracker = None
-    shared_memory = None
-
 #: Tasks co-simulated per engine group in every campaign: the unit of
 #: work a pool worker receives and a checkpoint stores.
 GROUP_WIDTH = 8
@@ -85,181 +69,6 @@ GROUP_WIDTH = 8
 #: Checkpoint-name tag of group-shaped campaign results, so a checkpoint
 #: holding per-task results is never resumed as group results.
 GROUP_TAG = f"fused{GROUP_WIDTH}"
-
-#: Arrays below this many bytes stay inline in the pickle payload —
-#: externalising them would cost more metadata than it saves.
-SHARED_ARRAY_THRESHOLD_BYTES = 128
-
-#: Segment names created by *this* process (the owner keeps its
-#: resource-tracker registration; only attaching processes unregister).
-_OWNED_SEGMENTS: set[str] = set()
-
-
-# ----------------------------------------------------------------------
-# Shared-memory object transport
-# ----------------------------------------------------------------------
-_SHM_TAG = "repro-shm-array"
-
-
-@dataclass(frozen=True)
-class SharedObjectRef:
-    """Picklable handle to an object graph dumped by :func:`dump_shared`.
-
-    ``shm_name`` is ``None`` in inline mode (no shared-memory segment —
-    either the graph had no large arrays or the platform refused the
-    allocation); the payload then contains everything.
-    """
-
-    shm_name: str | None
-    arrays: tuple[tuple[int, tuple, str], ...]  # (offset, shape, dtype)
-    payload: bytes
-
-    @property
-    def shared_bytes(self) -> int:
-        """Bytes externalised into the shared-memory block."""
-        return sum(int(np.prod(shape)) * np.dtype(dtype).itemsize
-                   for _, shape, dtype in self.arrays)
-
-
-class _ArrayPickler(pickle.Pickler):
-    """Pickler externalising large ndarrays via persistent IDs."""
-
-    def __init__(self, file, collected: list[np.ndarray],
-                 threshold: int) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._collected = collected
-        self._threshold = threshold
-
-    def persistent_id(self, obj):
-        if (isinstance(obj, np.ndarray) and obj.dtype != object
-                and obj.size > 0 and obj.nbytes >= self._threshold):
-            self._collected.append(np.ascontiguousarray(obj))
-            return (_SHM_TAG, len(self._collected) - 1)
-        return None
-
-
-class _ArrayUnpickler(pickle.Unpickler):
-    """Unpickler resolving persistent IDs to shared-memory views."""
-
-    def __init__(self, file, views: list[np.ndarray]) -> None:
-        super().__init__(file)
-        self._views = views
-
-    def persistent_load(self, pid):
-        tag, index = pid
-        if tag != _SHM_TAG:
-            raise pickle.UnpicklingError(f"unknown persistent id {tag!r}")
-        return self._views[index]
-
-
-def dump_shared(obj, *, threshold_bytes: int = SHARED_ARRAY_THRESHOLD_BYTES):
-    """Dump ``obj`` with its numpy arrays in one shared-memory block.
-
-    Returns ``(ref, block)``: a picklable :class:`SharedObjectRef` to
-    ship to workers, and the owning ``SharedMemory`` block (``None`` in
-    inline mode) which the caller must keep alive for the campaign and
-    release afterwards via :func:`release_shared`.  Falls back to a
-    plain inline pickle when shared memory is unavailable or the
-    allocation fails — same results, per-task copies again.
-    """
-    collected: list[np.ndarray] = []
-    buffer = io.BytesIO()
-    _ArrayPickler(buffer, collected, threshold_bytes).dump(obj)
-    payload = buffer.getvalue()
-    if not collected or shared_memory is None:
-        if collected:  # shared memory unavailable: re-pickle inline
-            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        return SharedObjectRef(None, (), payload), None
-    total = sum(array.nbytes for array in collected)
-    try:
-        block = shared_memory.SharedMemory(create=True, size=max(1, total))
-    except (OSError, ValueError):
-        return (SharedObjectRef(
-            None, (), pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)),
-            None)
-    _OWNED_SEGMENTS.add(block.name)
-    metas: list[tuple[int, tuple, str]] = []
-    offset = 0
-    for array in collected:
-        view = np.ndarray(array.shape, array.dtype, buffer=block.buf,
-                          offset=offset)
-        view[...] = array
-        metas.append((offset, array.shape, array.dtype.str))
-        offset += array.nbytes
-    return SharedObjectRef(block.name, tuple(metas), payload), block
-
-
-def load_shared(ref: SharedObjectRef):
-    """Rebuild an object dumped by :func:`dump_shared`.
-
-    Returns ``(obj, block)``.  In shared-memory mode the object's large
-    arrays are *read-only views* into the attached block; the caller
-    must keep ``block`` (or the views) referenced while the object is
-    in use.  In inline mode ``block`` is ``None``.
-    """
-    if ref.shm_name is None:
-        return pickle.loads(ref.payload), None
-    block = shared_memory.SharedMemory(name=ref.shm_name)
-    # Python < 3.13 registers every *attach* with the resource tracker,
-    # which then unlinks the segment when this process exits — stealing
-    # it from the owner.  Only the creating process may keep its
-    # registration (and unlink); an in-process load (serial campaigns)
-    # must not unregister the owner's claim.
-    if resource_tracker is not None and ref.shm_name not in _OWNED_SEGMENTS:
-        try:
-            resource_tracker.unregister(block._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API drift
-            pass
-    views = []
-    for offset, shape, dtype in ref.arrays:
-        view = np.ndarray(shape, np.dtype(dtype), buffer=block.buf,
-                          offset=offset)
-        view.flags.writeable = False
-        views.append(view)
-    obj = _ArrayUnpickler(io.BytesIO(ref.payload), views).load()
-    return obj, block
-
-
-def release_shared(block) -> None:
-    """Close and unlink a block returned by :func:`dump_shared`."""
-    if block is None:
-        return
-    _OWNED_SEGMENTS.discard(block.name)
-    try:
-        block.close()
-        block.unlink()
-    except (OSError, FileNotFoundError):  # pragma: no cover
-        pass
-
-
-class SharedContextCache:
-    """Per-process cache of loaded shared contexts (for pool workers).
-
-    A campaign ships the same :class:`SharedObjectRef` inside every
-    group task; each pool worker should attach and unpickle it once,
-    not once per group.  Keyed by the segment name (unique per dump) or
-    the payload digest in inline mode.  Eviction only drops our
-    reference — numpy views keep the underlying mapping alive, so
-    previously returned contexts stay valid.
-    """
-
-    def __init__(self, max_entries: int = 8) -> None:
-        self.max_entries = int(max_entries)
-        self._entries: dict[object, tuple] = {}
-
-    def get(self, ref):
-        """The context behind ``ref``; a live (unpicklable) context is
-        returned as is — it only ever runs in the process that built it."""
-        if not isinstance(ref, SharedObjectRef):
-            return ref
-        key = ref.shm_name if ref.shm_name is not None else hash(ref.payload)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = load_shared(ref)
-            if len(self._entries) >= self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = entry
-        return entry[0]
 
 
 def fuse_groups(items: Sequence, width: int) -> list[list]:
@@ -269,50 +78,35 @@ def fuse_groups(items: Sequence, width: int) -> list[list]:
     return [list(items[i:i + width]) for i in range(0, len(items), width)]
 
 
-#: Ways pickling a campaign context fails when it holds a lambda or a
-#: closure (a factory that cannot travel to a worker process).
-_UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
-
-
 def run_campaign(group_fn: Callable[[tuple], tuple[list, dict[str, int]]],
                  context: dict, entries: list, *,
                  stats: CampaignStats | None = None, stage: str,
                  **fan_out) -> list:
     """Run a campaign's tasks in engine groups of :data:`GROUP_WIDTH`.
 
-    ``context`` (policy factories, kernels, arch, power model) ships to
-    the workers once via shared memory, and each pool task is
-    ``(context_ref, group)`` with ``group`` a slice of ``entries``.
+    Each task is ``(context, group)``: the ``context`` object itself
+    (policy factories, kernels, arch, power model) and ``group``, a
+    slice of ``entries``.  Serially the groups run on the caller's live
+    context with no pickling; in a process pool the pickler's memo
+    writes the shared context once per submitted chunk, and a context
+    that cannot be pickled (a lambda or closure factory) makes
+    :func:`~repro.parallel.parallel_map` finish every group in-process.
     ``group_fn`` returns ``(per-entry outcomes, engine counters)``; the
     outcomes come back flattened in entry order and the counters, with
-    ``fused_groups``/``fused_shared_bytes``, land in ``stats``.
-    ``fan_out`` (workers, checkpoint, retries, timeout_s) passes
-    through to :func:`~repro.parallel.parallel_map`.
-
-    A context that cannot be pickled (a lambda or closure factory)
-    travels live inside each task instead: a pool cannot receive such
-    a task, so :func:`~repro.parallel.parallel_map` finishes every
-    group in-process, at any ``workers``.
+    ``fused_groups``, land in ``stats``.  ``fan_out`` (workers,
+    checkpoint, retries, timeout_s) passes through to
+    :func:`~repro.parallel.parallel_map`.
     """
     stats = stats if stats is not None else CampaignStats()
     groups = fuse_groups(entries, GROUP_WIDTH)
-    try:
-        ref, block = dump_shared(context)
-    except _UNPICKLABLE:
-        ref, block = context, None
-    try:
-        group_results = parallel_map(
-            group_fn, [(ref, group) for group in groups], stats=stats,
-            stage=stage, **fan_out)
-    finally:
-        release_shared(block)
+    group_results = parallel_map(
+        group_fn, [(context, group) for group in groups], stats=stats,
+        stage=stage, **fan_out)
     outcomes = []
     for group_outcomes, counters in group_results:
         outcomes.extend(group_outcomes)
         stats.merge_counters(counters)
     stats.count("fused_groups", len(groups))
-    stats.count("fused_shared_bytes",
-                ref.shared_bytes if block is not None else 0)
     return outcomes
 
 

@@ -371,10 +371,6 @@ def _checkpoint_clear(checkpoint: CampaignCheckpoint | None,
         stats.count("campaign_suppressed_errors")
 
 
-def _serial_map(fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-    return [fn(task) for task in tasks]
-
-
 def _serial_pass(fn: Callable[[T], R], tasks: Sequence[T],
                  results: dict[int, R], stats: CampaignStats,
                  checkpoint: CampaignCheckpoint | None) -> list[R]:
@@ -421,9 +417,11 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
       one final in-process rescue.  If even that fails, the campaign
       raises :class:`CampaignError` carrying the task id (completed
       results are checkpointed first when a checkpoint is configured).
-    * An unpicklable ``fn`` falls back to a serial in-process pass
-      (counted in ``parallel_fallbacks``), so a campaign never fails
-      *because* it was parallel.
+    * An unpicklable ``fn`` or task falls back to a serial in-process
+      pass (counted in ``parallel_fallbacks``), so a campaign never
+      fails *because* it was parallel.  One ``pickle.dumps`` of ``fn``
+      with every task probes this: its memo writes an object shared by
+      many tasks (a campaign context) once.
 
     With ``workers <= 1`` the map is a plain loop and task exceptions
     propagate unchanged, exactly as the serial pipeline would raise
@@ -447,7 +445,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
         with stats.stage(stage, tasks=len(tasks), workers=1, mode="serial"):
             return _serial_pass(fn, tasks, results, stats, checkpoint)
 
-    if not _is_picklable(fn):
+    if not _is_picklable((fn, tasks)):
         # The pool cannot even receive the work; degrade to serial.
         stats.count("parallel_fallbacks")
         with stats.stage(stage, tasks=len(tasks), workers=1, mode="fallback"):

@@ -1,4 +1,4 @@
-"""Fused campaign engine: bit-identity, masking, transport, resume.
+"""Fused campaign engine: bit-identity, masking, campaign context, resume.
 
 The fused engine's contract is *byte*-identity with running each task
 alone through ``GPUSimulator.run`` (the per-task reference in
@@ -6,12 +6,14 @@ alone through ``GPUSimulator.run`` (the per-task reference in
 record streams or exported JSON, not approximate metrics.  Coverage
 spans the engine itself (lockstep records, early-finish masking,
 mid-campaign pickling), every Fig. 4 and fleet policy kind (batched
-SSMDVFS inference, solo heuristic/guarded/faulty decisions), the
-shared-memory transport, and the two campaign layers that run through
-it (evaluation grids with their checkpoints, fleet phase 1).
+SSMDVFS inference, solo heuristic/guarded/faulty decisions), how the
+campaign context reaches the groups, and the two campaign layers that
+run through the engine (evaluation grids with their checkpoints, fleet
+phase 1).
 """
 
 import functools
+import hashlib
 import json
 import pickle
 
@@ -34,10 +36,7 @@ from repro.fleet import (ClusterScheduler, TraceConfig, build_trace,
                          policy_factory)
 from repro.gpu.arch import small_test_config
 from repro.gpu.fused import (GROUP_TAG, GROUP_WIDTH, FusedCampaignEngine,
-                             SharedContextCache, SharedObjectRef,
-                             dump_shared, fuse_groups, load_shared,
-                             release_shared, run_fused)
-from repro.gpu.counters import COUNTER_NAMES, CounterSet
+                             fuse_groups, run_fused)
 from repro.gpu.interval_model import SolutionCache
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase, compute_phase, memory_phase
@@ -257,65 +256,6 @@ def test_engine_pickles_mid_campaign_and_resumes_identically(arch, model):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory transport
-# ---------------------------------------------------------------------------
-
-def test_shared_memory_roundtrip_and_readonly(model):
-    ref, block = dump_shared(model)
-    try:
-        if ref.shm_name is not None:
-            assert ref.shared_bytes > 0
-        loaded, attached = load_shared(ref)
-        weights = loaded.decision_maker.model.layers[0].weights
-        original = model.decision_maker.model.layers[0].weights
-        np.testing.assert_array_equal(weights, original)
-        if ref.shm_name is not None:
-            assert not weights.flags.writeable
-        # Read-only weights must still run inference (scratch buffers
-        # are reallocated per process, never shipped as shared views).
-        rng = np.random.default_rng(0)
-        counter_sets = [CounterSet.from_vector(
-            rng.uniform(1.0, 1e4, size=len(COUNTER_NAMES)))
-            for _ in range(4)]
-        levels = loaded.decision_maker.predict_levels(counter_sets, 0.1)
-        assert levels == model.decision_maker.predict_levels(counter_sets,
-                                                             0.1)
-    finally:
-        release_shared(block)
-
-
-def test_shared_transport_inline_fallback():
-    """Graphs below the threshold ship inline (no segment to leak)."""
-    ref, block = dump_shared({"small": np.arange(3.0)})
-    assert block is None
-    assert ref.shm_name is None
-    obj, attached = load_shared(ref)
-    assert attached is None
-    np.testing.assert_array_equal(obj["small"], np.arange(3.0))
-
-
-def test_shared_context_cache_attaches_once(model):
-    ref, block = dump_shared(model)
-    try:
-        cache = SharedContextCache(max_entries=2)
-        first = cache.get(ref)
-        assert cache.get(ref) is first
-    finally:
-        release_shared(block)
-
-
-def test_shared_ref_is_picklable(model):
-    ref, block = dump_shared(model)
-    try:
-        clone = pickle.loads(pickle.dumps(ref))
-        assert isinstance(clone, SharedObjectRef)
-        assert clone.shm_name == ref.shm_name
-        assert clone.arrays == ref.arrays
-    finally:
-        release_shared(block)
-
-
-# ---------------------------------------------------------------------------
 # Campaign layers: evaluation grid and fleet phase 1 vs each task alone
 # ---------------------------------------------------------------------------
 
@@ -411,8 +351,72 @@ def test_compare_policies_lambda_factories_at_workers_2(arch, model):
                                     seed=3)
     assert _grid_payload(grouped) == _grid_payload(alone)
     assert stats.counter("fused_tasks") == 4 * len(kernels)
-    assert stats.counter("fused_shared_bytes") == 0
+    # The probe of fn and tasks sends the campaign straight to the
+    # serial pass: no pooled attempt fails, retries or is quarantined.
+    assert (stats.counter("campaign_task_errors")
+            == stats.counter("campaign_retries")
+            == stats.counter("campaign_quarantined") == 0)
     assert stats.counter("parallel_fallbacks") == 1
+
+
+class _RecordingFactory:
+    """Picklable SSMDVFS factory that records which object built each
+    policy (``built_by`` is per process, so only in-process calls land
+    in the caller's list)."""
+
+    built_by: list = []
+
+    def __init__(self, model, preset):
+        self.model = model
+        self.preset = preset
+
+    def __call__(self):
+        _RecordingFactory.built_by.append(id(self))
+        return SSMDVFSController(self.model, self.preset)
+
+
+def _model_digest(model):
+    digest = hashlib.sha256()
+    for mlp in (model.decision_model, model.calibrator_model):
+        for layer in mlp.layers:
+            for array in (layer.weights, layer.bias, layer.mask):
+                digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def test_serial_campaigns_run_on_the_callers_factories(arch, model):
+    """At workers=1 the groups call the caller's own factory objects —
+    no pickled private copy of the context."""
+    factory = _RecordingFactory(model, 0.10)
+    _RecordingFactory.built_by.clear()
+    kernels = _grid_kernels()
+    compare_policies({"ssmdvfs": factory}, kernels, arch, preset=0.10,
+                     seed=1, workers=1)
+    assert _RecordingFactory.built_by == [id(factory)] * len(kernels)
+
+    _RecordingFactory.built_by.clear()
+    jobs = build_trace(arch, TraceConfig(trace="steady", jobs=10, nodes=2,
+                                         seed=4))
+    scheduler = ClusterScheduler(arch, factory, num_nodes=2,
+                                 policy_name="ssmdvfs", seed=4, workers=1)
+    scheduler._simulate(sorted(jobs, key=lambda j: (j.arrival_s, j.job_id)))
+    assert _RecordingFactory.built_by == [id(factory)] * len(jobs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaigns_never_write_the_callers_model(arch, workers):
+    """Neither campaign layer writes the caller's weights, biases or
+    masks, serially (live objects) or through the pool (pickled)."""
+    model = _synth_model(len(arch.vf_table), seed=11)
+    before = _model_digest(model)
+    factory = _RecordingFactory(model, 0.10)
+    compare_policies({"ssmdvfs": factory}, _grid_kernels(), arch,
+                     preset=0.10, seed=1, workers=workers)
+    jobs = build_trace(arch, TraceConfig(trace="steady", jobs=10, nodes=2,
+                                         seed=4))
+    ClusterScheduler(arch, factory, num_nodes=2, policy_name="ssmdvfs",
+                     seed=4, workers=workers).run(jobs)
+    assert _model_digest(model) == before
 
 
 def test_cached_comparison_never_resumes_per_task_checkpoint(tmp_path, arch,
